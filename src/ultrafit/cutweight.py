@@ -9,6 +9,7 @@ representative and radius per cluster and over-estimates by at most 5x.
 import numpy as np
 
 from .core import PointSet, cross_distances, edge_distances
+from .dendro import build_dendrogram
 from .mst import SpanningTree
 
 
@@ -65,32 +66,11 @@ class ClusterState:
 
 def exact_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
     """True cut weight per tree edge: the max distance over the cross pairs
-    of the two clusters the edge merges.  Quadratic; the oracle baseline."""
-    n = points.n
-    X = points.coords
-    out = np.empty(n - 1)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    parent = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
+    of the two clusters the edge merges.  Quadratic; the oracle baseline.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
-
-    for ei in range(n - 1):
-        a = find(int(tree.u[ei]))
-        b = find(int(tree.v[ei]))
-        if size[b] > size[a]:
-            a, b = b, a
-        small, large = members[b], members[a]
-        out[ei] = cross_distances(X[small], X[large]).max()
-        parent[b] = a
-        size[a] += size[b]
-        members[a].extend(small)
-        members[b] = None
-    return out
+    Heights 0, 1, ... keep the tree order, so dendrogram node i is the
+    merge of edge i and its farthest cross pair is the cut weight."""
+    return build_dendrogram(tree, np.arange(points.n - 1)).cross_stats(points).dmax
 
 
 def approximate_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:

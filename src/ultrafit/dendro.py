@@ -7,14 +7,24 @@ any fixed order induce the same ultrametric, so ties follow the input
 edge order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import PointSet, cross_distances
 from .mst import SpanningTree
 
-_BLOCK_ELEMS = 1 << 22  # cap on per-chunk distance-block size
+_CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
+
+
+class CrossStats(NamedTuple):
+    """Per internal node (merge order), over the pairs it separates."""
+
+    dmin: np.ndarray  # closest cross-pair distance
+    pair: np.ndarray  # (m, 2) leaf ids of the first pair at dmin, left child's leaf first
+    dmax: np.ndarray  # farthest cross-pair distance
+    inv_sum: np.ndarray  # sum of 1 / distance (inf if a distance is 0)
 
 
 @dataclass
@@ -27,6 +37,7 @@ class Dendrogram:
     leaf_labels: np.ndarray
     _lca: tuple | None = field(default=None, repr=False, compare=False)
     _spans: tuple | None = field(default=None, repr=False, compare=False)
+    _cross: tuple | None = field(default=None, repr=False, compare=False)  # (points, CrossStats)
 
     @property
     def root(self) -> int:
@@ -68,16 +79,48 @@ class Dendrogram:
             object.__setattr__(self, "_spans", (order, lo, hi))
         return self._spans
 
-    def cross_blocks(self):
-        """Yield (height, left leaf ids, right leaf ids) per internal node.
+    def cross_stats(self, points: PointSet) -> CrossStats:
+        """Scan every leaf pair once, at its least common ancestor.
 
-        Every unordered leaf pair appears in exactly one block: the one of
-        its least common ancestor.
+        Coordinates are put in DFS leaf order once, so both children of a
+        node are contiguous row slices; the left child's rows meet the
+        right child's columns in blocks of at most _CHUNK_ELEMS entries,
+        visited in row-major order.  The result depends only on topology
+        and points, so it is memoized per PointSet object.
         """
+        if self._cross is not None and self._cross[0] is points:
+            return self._cross[1]
+        if points.n != self.n:
+            raise ValueError("dendrogram and point set sizes differ")
         order, lo, hi = self.leaf_spans()
-        for i in range(len(self.height)):
-            l, r = int(self.left[i]), int(self.right[i])
-            yield float(self.height[i]), order[lo[l] : hi[l]], order[lo[r] : hi[r]]
+        Y = points.coords[order]
+        lo, hi = lo.tolist(), hi.tolist()
+        m = len(self.height)
+        dmin = np.empty(m)
+        dmax = np.empty(m)
+        inv_sum = np.empty(m)
+        first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
+        with np.errstate(divide="ignore"):
+            for i, (l, r) in enumerate(zip(self.left.tolist(), self.right.tolist())):
+                a0, a1, b0, b1 = lo[l], hi[l], lo[r], hi[r]
+                cols = min(b1 - b0, _CHUNK_ELEMS)
+                rows = max(1, _CHUNK_ELEMS // cols)
+                near, far, inv, at = np.inf, -np.inf, 0.0, (a0, b0)
+                for ra in range(a0, a1, rows):
+                    A = Y[ra : min(ra + rows, a1)]
+                    for cb in range(b0, b1, cols):
+                        block = cross_distances(A, Y[cb : min(cb + cols, b1)])
+                        k = int(block.argmin())
+                        if block.flat[k] < near:
+                            near = block.flat[k]
+                            at = (ra + k // block.shape[1], cb + k % block.shape[1])
+                        far = max(far, block.max())
+                        inv += np.reciprocal(block, out=block).sum()
+                dmin[i], dmax[i], inv_sum[i] = near, far, inv
+                first[i] = at
+        stats = CrossStats(dmin, order[first], dmax, inv_sum)
+        object.__setattr__(self, "_cross", (points, stats))
+        return stats
 
     # -- LCA queries -------------------------------------------------------
 
@@ -239,18 +282,15 @@ def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
     return from_merge_rows(n, left, right, hout)
 
 
-def _block_iter(a_ids, b_ids):
-    rows = max(1, _BLOCK_ELEMS // max(1, len(b_ids)))
-    for s in range(0, len(a_ids), rows):
-        yield a_ids[s : s + rows], b_ids
-
-
 def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
     """Scale all heights by the smallest factor making the ultrametric
     dominate the input metric; returns the scaled dendrogram and the factor.
 
     The factor is max over pairs of distance / LCA height, so afterwards
-    min over pairs of height / distance equals 1.  Topology is unchanged.
+    min over pairs of height / distance equals 1, up to the rounding of
+    height * factor (an ulp or two).  Topology is unchanged,
+    so the scaled dendrogram shares the LCA index, leaf spans and
+    cross-pair statistics of the input.
     """
     if dendro.n != points.n:
         raise ValueError("dendrogram and point set sizes differ")
@@ -258,16 +298,8 @@ def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
         return dendro, 1.0
     if dendro.height.min() <= 0:
         raise ValueError("cannot normalize: zero merge height for distinct points (dedupe first)")
-    X = points.coords
-    scale = 0.0
-    for h, a_ids, b_ids in dendro.cross_blocks():
-        for aa, bb in _block_iter(a_ids, b_ids):
-            top = float(cross_distances(X[aa], X[bb]).max())
-            scale = max(scale, top / h)
-    scaled = from_merge_rows(
-        dendro.n, dendro.left, dendro.right, dendro.height * scale, dendro.leaf_labels
-    )
-    return scaled, scale
+    scale = float((dendro.cross_stats(points).dmax / dendro.height).max())
+    return replace(dendro, height=dendro.height * scale), scale
 
 
 def expand_duplicates(dendro: Dendrogram, groups: dict[int, list[int]]) -> Dendrogram:

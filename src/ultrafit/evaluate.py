@@ -1,9 +1,9 @@
 """Distortion measurement and timing harness.
 
 Distortion is the exact all-pairs statistic max (and min, mean) of
-ultrametric distance over true distance.  The scan walks the dendrogram's
-internal nodes, so every pair is visited once at its LCA; no sampling, a
-max statistic would miss its argmax otherwise.
+ultrametric distance over true distance.  Every pair is visited once at
+its LCA by Dendrogram.cross_stats; no sampling, a max statistic would miss
+its argmax otherwise.
 """
 
 import time
@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointSet, cross_distances
+from .core import PointSet
 from .dendro import Dendrogram, normalize
 from .spanner import SpannerConfig
 from . import pipeline as _pipeline
-
-_BLOCK_ELEMS = 1 << 22
 
 
 @dataclass
@@ -52,6 +50,12 @@ def distortion(
     With normalize_first the dendrogram is scaled to dominate the metric
     first and the scale is reported.  Zero pairwise distances are refused:
     deduplicate the input instead.
+
+    Division is monotone, so a node's largest ratio is its height over its
+    closest cross pair and its smallest is the height over its farthest;
+    argmax_pair is the first closest pair of the first node attaining the
+    max.  The mean sums height * (sum of 1 / distance) per node, equal to
+    the pairwise mean up to float rounding.
     """
     if points.n != dendro.n:
         raise ValueError("point set and dendrogram sizes differ")
@@ -60,35 +64,18 @@ def distortion(
     scale = None
     if normalize_first:
         dendro, scale = normalize(dendro, points)
-    X = points.coords
-    best = -np.inf
-    worst = np.inf
-    total = 0.0
-    count = 0
-    arg = (0, 0)
-    for h, a_ids, b_ids in dendro.cross_blocks():
-        rows = max(1, _BLOCK_ELEMS // max(1, len(b_ids)))
-        for s in range(0, len(a_ids), rows):
-            aa = a_ids[s : s + rows]
-            block = cross_distances(X[aa], X[b_ids])
-            if (block == 0).any():
-                ai, bi = np.argwhere(block == 0)[0]
-                raise ValueError(
-                    f"zero distance between points {int(aa[ai])} and {int(b_ids[bi])}: dedupe first"
-                )
-            ratios = h / block
-            flat = int(np.argmax(ratios))
-            ai, bi = divmod(flat, ratios.shape[1])
-            if ratios[ai, bi] > best:
-                best = float(ratios[ai, bi])
-                arg = (int(aa[ai]), int(b_ids[bi]))
-            worst = min(worst, float(ratios.min()))
-            total += float(ratios.sum())
-            count += ratios.size
+    stats = dendro.cross_stats(points)
+    zero = np.flatnonzero(stats.dmin == 0)
+    if len(zero):
+        a, b = stats.pair[zero[0]].tolist()
+        raise ValueError(f"zero distance between points {a} and {b}: dedupe first")
+    h = dendro.height
+    top = int(np.argmax(h / stats.dmin))
+    arg = stats.pair[top].tolist()
     return DistortionReport(
-        max_ratio=best,
-        min_ratio=worst,
-        mean_ratio=total / count,
+        max_ratio=float(h[top] / stats.dmin[top]),
+        min_ratio=float((h / stats.dmax).min()),
+        mean_ratio=float((h * stats.inv_sum).sum()) / (points.n * (points.n - 1) // 2),
         argmax_pair=(min(arg), max(arg)),
         n=points.n,
         algorithm=algorithm,

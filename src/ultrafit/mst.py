@@ -1,18 +1,11 @@
 """Spanning trees: Kruskal over sparse graphs, an exact Euclidean MST
 baseline, and certification of the approximate-Kruskal-tree factor."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PointSet,
-    UnionFind,
-    WeightedEdge,
-    canonical_edges,
-    cross_distances,
-    paired_distances,
-)
+from .core import PointSet, UnionFind, WeightedEdge, canonical_edges, cross_distances
 
 _DENSE_KRUSKAL_LIMIT = 2048  # below this, exact MST materializes all pairs
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts this many edges per point per batch
@@ -47,7 +40,6 @@ class SpanningTree:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    _adj: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.u) != self.n - 1:
@@ -58,28 +50,6 @@ class SpanningTree:
 
     def edge_list(self) -> list[WeightedEdge]:
         return [WeightedEdge(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
-
-    def adjacency(self):
-        """CSR-style (indptr, neighbor, edge_id) arrays for traversal."""
-        if self._adj is None:
-            deg = np.zeros(self.n, dtype=np.int64)
-            np.add.at(deg, self.u, 1)
-            np.add.at(deg, self.v, 1)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            nbr = np.empty(2 * (self.n - 1), dtype=np.int64)
-            eid = np.empty(2 * (self.n - 1), dtype=np.int64)
-            cur = indptr[:-1].copy()
-            for i in range(len(self.u)):
-                a, b = int(self.u[i]), int(self.v[i])
-                nbr[cur[a]] = b
-                eid[cur[a]] = i
-                cur[a] += 1
-                nbr[cur[b]] = a
-                eid[cur[b]] = i
-                cur[b] += 1
-            object.__setattr__(self, "_adj", (indptr, nbr, eid))
-        return self._adj
 
 
 def _as_edge_arrays(edges):

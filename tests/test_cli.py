@@ -164,6 +164,23 @@ def test_eval_round_trip_with_duplicate_rows(tmp_path):
     assert rep["n"] == 3  # deduped count
 
 
+def test_eval_normalize_matches_fit_sidecar(tmp_path):
+    rng = np.random.default_rng(8)
+    csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in rng.random((40, 3)).tolist()))
+    raw = str(tmp_path / "raw.txt")
+    fitted = str(tmp_path / "norm.txt")
+    assert main(["fit", "--input", csv, "--algo", "single", "--out", raw]) == 0
+    assert main(["fit", "--input", csv, "--algo", "single", "--normalize", "--out", fitted]) == 0
+    fit_side = json.load(open(fitted + ".json"))
+    rep_out = str(tmp_path / "rep.json")
+    assert main(["eval", "--input", csv, "--dendrogram", raw, "--normalize", "--out", rep_out]) == 0
+    rep = json.load(open(rep_out))
+    assert rep["scale"] == fit_side["scale"]
+    assert rep["max"] == fit_side["max_distortion"]
+    # h * (d_max / h) rounds back to d_max only to within an ulp or two
+    assert rep["min"] == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
+
+
 def test_eval_leaf_count_mismatch_exit_5(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     dendro = write(tmp_path, "d.txt", "0 1 1.0 2\n")

@@ -183,3 +183,42 @@ def test_approx_cut_weights_bitwise_match_two_cdist_formula():
         state = ClusterState(p)
         for ei, expected in enumerate(triples):
             assert state.merge(int(tree.u[ei]), int(tree.v[ei])) == expected, f"n={p.n} edge {ei}"
+
+
+def _union_find_cut_weights(points, tree):
+    """The per-merge union-find scan exact_cut_weights used before the
+    cross-pair kernel: max over cdist(smaller cluster, larger cluster)."""
+    X = points.coords
+    out = np.empty(points.n - 1)
+    members = [[i] for i in range(points.n)]
+    parent = np.arange(points.n, dtype=np.int64)
+    size = np.ones(points.n, dtype=np.int64)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = int(parent[x])
+        return x
+
+    for ei in range(points.n - 1):
+        a = find(int(tree.u[ei]))
+        b = find(int(tree.v[ei]))
+        if size[b] > size[a]:
+            a, b = b, a
+        out[ei] = cross_distances(X[members[b]], X[members[a]]).max()
+        parent[b] = a
+        size[a] += size[b]
+        members[a].extend(members[b])
+        members[b] = None
+    return out
+
+
+def test_exact_cut_weights_bitwise_match_union_find_loop():
+    rng = np.random.default_rng(31)
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(10.0)), -1).reshape(-1, 2)
+    for coords in (rng.random((300, 20)), grid, rng.standard_normal((200, 3)) * 1e3 + 1e6):
+        p = PointSet(coords)
+        spanner = build_spanner(p, SpannerConfig(gamma=2.0, seed=5))
+        for tree in (exact_mst(p), kruskal(p.n, (spanner.u, spanner.v, spanner.w))):
+            expect = _union_find_cut_weights(p, tree)
+            assert exact_cut_weights(p, tree).tobytes() == expect.tobytes()

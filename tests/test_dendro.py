@@ -17,6 +17,7 @@ from ultrafit import (
     to_merge_rows,
     to_newick,
 )
+from ultrafit import dendro as dendro_mod
 from ultrafit.core import cross_distances
 
 COLLINEAR = PointSet([[0.0], [1.0], [3.0]])
@@ -246,15 +247,72 @@ def test_contract_without_duplicates_is_identity():
     assert (same.ultrametric_matrix() == d.ultrametric_matrix()).all()
 
 
-def test_cross_blocks_cover_all_pairs_once():
-    rng = np.random.default_rng(30)
-    p = PointSet(rng.random((20, 2)))
-    d = single_linkage(p)
-    seen = set()
-    for h, a_ids, b_ids in d.cross_blocks():
-        for a in a_ids:
-            for b in b_ids:
-                key = (min(int(a), int(b)), max(int(a), int(b)))
-                assert key not in seen
-                seen.add(key)
-    assert len(seen) == 20 * 19 // 2
+def _leaves(d):
+    """Leaf ids under every node, left child's leaves first (DFS order)."""
+    leaves = [[i] for i in range(d.n)]
+    for l, r in zip(d.left.tolist(), d.right.tolist()):
+        leaves.append(leaves[l] + leaves[r])
+    return leaves
+
+
+def _caterpillar():
+    # gaps grow along the line, so single linkage adds one leaf per merge
+    p = PointSet((np.arange(12.0) ** 2)[:, None])
+    return p, single_linkage(p)
+
+
+def _grid():
+    g = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), -1).reshape(-1, 2)
+    p = PointSet(g)
+    return p, farach_exact(p).dendrogram
+
+
+def _random():
+    p = PointSet(np.random.default_rng(30).random((40, 3)))
+    return p, single_linkage(p)
+
+
+def _two():
+    p = PointSet([[0.0, 1.0], [2.0, 5.0]])
+    return p, single_linkage(p)
+
+
+def _duplicates():
+    # zero distances: 1/d sums to inf, the closest pair is the first zero one
+    p = PointSet([[0.0], [0.0], [1.0], [1.0]])
+    return p, from_merge_rows(4, [0, 4, 2], [1, 3, 5], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 5], ids=["default-chunk", "chunk5"])
+@pytest.mark.parametrize(
+    "make", [_random, _grid, _two, _caterpillar, _duplicates], ids=lambda f: f.__name__[1:]
+)
+def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
+    p, d = make()
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
+    entries = []
+
+    def spy(a, b):
+        out = cross_distances(a, b)
+        assert out.size <= chunk
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(dendro_mod, "cross_distances", spy)
+    stats = d.cross_stats(p)
+    assert sum(entries) == p.n * (p.n - 1) // 2  # every pair scanned exactly once
+    D = cross_distances(p.coords, p.coords)
+    leaves = _leaves(d)
+    counts = 0
+    for i, (l, r) in enumerate(zip(d.left.tolist(), d.right.tolist())):
+        a, b = leaves[l], leaves[r]
+        block = D[np.ix_(a, b)]
+        counts += block.size
+        k = int(np.argmin(block))  # first closest pair in row-major order
+        assert stats.dmin[i] == block.min()
+        assert stats.pair[i].tolist() == [a[k // len(b)], b[k % len(b)]]
+        assert stats.dmax[i] == block.max()
+        with np.errstate(divide="ignore"):
+            assert stats.inv_sum[i] == pytest.approx((1.0 / block).sum(), rel=1e-12)
+    assert counts == p.n * (p.n - 1) // 2
+
