@@ -286,11 +286,11 @@ def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
     """Scale all heights by the smallest factor making the ultrametric
     dominate the input metric; returns the scaled dendrogram and the factor.
 
-    The factor is max over pairs of distance / LCA height, so afterwards
-    min over pairs of height / distance equals 1, up to the rounding of
-    height * factor (an ulp or two).  Topology is unchanged,
-    so the scaled dendrogram shares the LCA index, leaf spans and
-    cross-pair statistics of the input.
+    The factor is max over pairs of distance / LCA height, rounded up by
+    the ulps it takes for every scaled height to reach its node's farthest
+    cross pair, so afterwards min over pairs of height / distance is 1
+    exactly.  Topology is unchanged, so the scaled dendrogram shares the
+    LCA index, leaf spans and cross-pair statistics of the input.
     """
     if dendro.n != points.n:
         raise ValueError("dendrogram and point set sizes differ")
@@ -298,7 +298,11 @@ def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
         return dendro, 1.0
     if dendro.height.min() <= 0:
         raise ValueError("cannot normalize: zero merge height for distinct points (dedupe first)")
-    scale = float((dendro.cross_stats(points).dmax / dendro.height).max())
+    dmax = dendro.cross_stats(points).dmax
+    scale = float((dmax / dendro.height).max())
+    # height * (dmax / height) can round an ulp or two below dmax
+    while (dendro.height * scale < dmax).any():
+        scale = float(np.nextafter(scale, np.inf))
     return replace(dendro, height=dendro.height * scale), scale
 
 

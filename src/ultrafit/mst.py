@@ -7,7 +7,6 @@ import numpy as np
 
 from .core import PointSet, UnionFind, WeightedEdge, canonical_edges, cross_distances
 
-_DENSE_KRUSKAL_LIMIT = 2048  # below this, exact MST materializes all pairs
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts this many edges per point per batch
 
 
@@ -189,67 +188,49 @@ def connect_components(points: PointSet, forest) -> SpanningTree:
     return SpanningTree(n=n, u=cu, v=cv, w=cw)
 
 
-def _prim(points: PointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = points.coords
+def exact_mst(points: PointSet) -> SpanningTree:
+    """True Euclidean MST, equal edge for edge to kruskal over all pairs.
+
+    Prim's algorithm under kruskal's strict edge order (weight, min index,
+    max index).  That order is total, so the MST is unique and Prim's tree,
+    sorted canonically, is the one kruskal picks.  Memory is O(n): one
+    distance row per step, never all pairs.
+    """
     n = points.n
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
-    in_tree[0] = True
-    best_row = cross_distances(X[0:1], X)[0]
-    np.minimum(best, best_row, out=best)
-    best[0] = np.inf
+    X = points.coords
+    best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
+    best_from = np.zeros(n, dtype=np.int64)  # its tree endpoint
+    free = np.ones(n, dtype=bool)  # not yet in the tree
+    closer = np.empty(n, dtype=bool)
+    tie = np.empty(n, dtype=bool)
     eu = np.empty(n - 1, dtype=np.int64)
     ev = np.empty(n - 1, dtype=np.int64)
     ew = np.empty(n - 1, dtype=np.float64)
+    j = 0
     for step in range(n - 1):
+        free[j] = False
+        best[j] = np.inf
+        row = cross_distances(X[j : j + 1], X)[0]
+        # edges (j, k) and (best_from[k], k) share k, so at equal weight the
+        # order prefers the lower other endpoint
+        np.equal(row, best, out=tie)
+        np.greater(best_from, j, out=closer)
+        tie &= closer
+        np.less(row, best, out=closer)
+        closer |= tie
+        closer &= free
+        np.copyto(best, row, where=closer)
+        np.copyto(best_from, j, where=closer)
         j = int(np.argmin(best))
+        np.equal(best, best[j], out=tie)
+        if np.count_nonzero(tie) > 1:  # equal weights: least (min, max) pair
+            k = np.flatnonzero(tie)
+            f = best_from[k]
+            j = int(k[np.lexsort((np.maximum(k, f), np.minimum(k, f)))[0]])
         eu[step] = best_from[j]
         ev[step] = j
         ew[step] = best[j]
-        in_tree[j] = True
-        best[j] = np.inf
-        row = cross_distances(X[j : j + 1], X)[0]
-        closer = row < best
-        closer &= ~in_tree
-        best[closer] = row[closer]
-        best_from[closer] = j
-    return eu, ev, ew
-
-
-def exact_mst(points: PointSet) -> SpanningTree:
-    """True Euclidean MST with ties resolved exactly like kruskal over the
-    complete graph, so exact_mst(p) == kruskal(n, all pairs) edge for edge."""
-    n = points.n
-    if n == 1:
-        z = np.empty(0, dtype=np.int64)
-        return SpanningTree(n=1, u=z, v=z.copy(), w=np.empty(0))
-    X = points.coords
-    if n <= _DENSE_KRUSKAL_LIMIT:
-        iu, iv = np.triu_indices(n, 1)
-        w = cross_distances(X, X)[iu, iv]
-        return kruskal(n, (iu, iv, w))
-    eu, ev, ew = _prim(points)
-    # tie repair: rerun kruskal over the tree plus every pair whose weight
-    # exactly matches a tree weight (every MST shares the weight multiset)
-    tw = np.unique(ew)
-    cand_u = [eu]
-    cand_v = [ev]
-    cand_w = [ew]
-    block = 128
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        rows = cross_distances(X[s:e], X)
-        hit = np.isin(rows, tw)
-        hit[:, : s + 1] = False  # keep u < v only (column index > row index)
-        ri, ci = np.nonzero(hit)
-        keep = ci > ri + s
-        ri, ci = ri[keep], ci[keep]
-        if len(ri):
-            cand_u.append(ri + s)
-            cand_v.append(ci)
-            cand_w.append(rows[ri, ci])
-    return kruskal(n, (np.concatenate(cand_u), np.concatenate(cand_v), np.concatenate(cand_w)))
+    return SpanningTree(n, *canonical_edges(eu, ev, ew))
 
 
 def kt_factor(points: PointSet, tree: SpanningTree) -> float:

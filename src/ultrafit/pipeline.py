@@ -51,92 +51,68 @@ def _require_distinct(points: PointSet):
         raise ValueError("input contains duplicate points; dedupe before fitting")
 
 
-def _single_leaf(algorithm: str, **kw) -> FitResult:
-    return FitResult(dendrogram=from_merge_rows(1, [], [], []), algorithm=algorithm, **kw)
+def _fit(algorithm: str, points: PointSet, grow_tree, cut_weights, **meta) -> FitResult:
+    """The skeleton the tree-based fitters share: tree -> cut weights ->
+    cartesian tree, each stage timed into timings_ms.
+
+    grow_tree(stage, edge_counts) returns the spanning tree, running each of
+    its steps as stage(name, fn, *args).  Fitters pass the stage functions
+    as this module's globals resolve at call time, so wrappers installed on
+    those names see every call.
+    """
+    if points.n == 1:
+        return FitResult(dendrogram=from_merge_rows(1, [], [], []), algorithm=algorithm, **meta)
+    _require_distinct(points)
+    timings_ms: dict[str, float] = {}
+    edge_counts: dict[str, int] = {}
+
+    def stage(name, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        timings_ms[name] = (time.perf_counter() - t0) * 1e3
+        return out
+
+    tree = grow_tree(stage, edge_counts)
+    edge_counts["tree"] = points.n - 1
+    heights = stage("cutweight", cut_weights, points, tree)
+    dendro = stage("cartesian", build_dendrogram, tree, heights)
+    return FitResult(
+        dendrogram=dendro,
+        algorithm=algorithm,
+        timings_ms=timings_ms,
+        edge_counts=edge_counts,
+        tree=tree,
+        **meta,
+    )
+
+
+def _spanner_tree(points: PointSet, graph: SpannerGraph) -> SpanningTree:
+    try:
+        return kruskal(points.n, (graph.u, graph.v, graph.w))
+    except DisconnectedGraphError as exc:  # the coarsest-scale star precludes this
+        return connect_components(points, (exc.forest_u, exc.forest_v, exc.forest_w))
 
 
 def approx_ult(points: PointSet, config: SpannerConfig | None = None) -> FitResult:
     """Spanner -> Kruskal -> 5-estimated cut weights -> cartesian tree."""
     config = config or SpannerConfig()
-    if points.n == 1:
-        return _single_leaf("approx", gamma=config.gamma, seed=config.seed)
-    _require_distinct(points)
-    t0 = time.perf_counter()
-    graph: SpannerGraph = build_spanner(points, config)
-    t1 = time.perf_counter()
-    try:
-        tree = kruskal(points.n, (graph.u, graph.v, graph.w))
-    except DisconnectedGraphError as exc:  # the coarsest-scale star precludes this
-        tree = connect_components(points, (exc.forest_u, exc.forest_v, exc.forest_w))
-    t2 = time.perf_counter()
-    heights = approximate_cut_weights(points, tree)
-    t3 = time.perf_counter()
-    dendro = build_dendrogram(tree, heights)
-    t4 = time.perf_counter()
-    return FitResult(
-        dendrogram=dendro,
-        algorithm="approx",
-        gamma=config.gamma,
-        seed=config.seed,
-        timings_ms={
-            "spanner": (t1 - t0) * 1e3,
-            "mst": (t2 - t1) * 1e3,
-            "cutweight": (t3 - t2) * 1e3,
-            "cartesian": (t4 - t3) * 1e3,
-        },
-        edge_counts={"spanner": graph.edge_count, "tree": points.n - 1},
-        tree=tree,
-    )
+
+    def grow_tree(stage, edge_counts):
+        graph = stage("spanner", build_spanner, points, config)
+        edge_counts["spanner"] = graph.edge_count
+        return stage("mst", _spanner_tree, points, graph)
+
+    return _fit("approx", points, grow_tree, approximate_cut_weights, gamma=config.gamma, seed=config.seed)
 
 
 def approx_acc_ult(points: PointSet) -> FitResult:
     """Exact MST with 5-estimated cut weights."""
-    if points.n == 1:
-        return _single_leaf("acc")
-    _require_distinct(points)
-    t0 = time.perf_counter()
-    tree = exact_mst(points)
-    t1 = time.perf_counter()
-    heights = approximate_cut_weights(points, tree)
-    t2 = time.perf_counter()
-    dendro = build_dendrogram(tree, heights)
-    t3 = time.perf_counter()
-    return FitResult(
-        dendrogram=dendro,
-        algorithm="acc",
-        timings_ms={
-            "mst": (t1 - t0) * 1e3,
-            "cutweight": (t2 - t1) * 1e3,
-            "cartesian": (t3 - t2) * 1e3,
-        },
-        edge_counts={"tree": points.n - 1},
-        tree=tree,
-    )
+    return _fit("acc", points, lambda stage, _: stage("mst", exact_mst, points), approximate_cut_weights)
 
 
 def farach_exact(points: PointSet) -> FitResult:
     """Optimal-distortion baseline: exact MST and exact cut weights."""
-    if points.n == 1:
-        return _single_leaf("exact")
-    _require_distinct(points)
-    t0 = time.perf_counter()
-    tree = exact_mst(points)
-    t1 = time.perf_counter()
-    heights = exact_cut_weights(points, tree)
-    t2 = time.perf_counter()
-    dendro = build_dendrogram(tree, heights)
-    t3 = time.perf_counter()
-    return FitResult(
-        dendrogram=dendro,
-        algorithm="exact",
-        timings_ms={
-            "mst": (t1 - t0) * 1e3,
-            "cutweight": (t2 - t1) * 1e3,
-            "cartesian": (t3 - t2) * 1e3,
-        },
-        edge_counts={"tree": points.n - 1},
-        tree=tree,
-    )
+    return _fit("exact", points, lambda stage, _: stage("mst", exact_mst, points), exact_cut_weights)
 
 
 def run_algorithm(name: str, points: PointSet, config: SpannerConfig | None = None) -> FitResult:

@@ -177,7 +177,8 @@ def test_eval_normalize_matches_fit_sidecar(tmp_path):
     rep = json.load(open(rep_out))
     assert rep["scale"] == fit_side["scale"]
     assert rep["max"] == fit_side["max_distortion"]
-    # h * (d_max / h) rounds back to d_max only to within an ulp or two
+    # normalize rounds its factor up, so the output dominates the metric exactly
+    assert rep["min"] >= 1.0
     assert rep["min"] == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
 
 

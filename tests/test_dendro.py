@@ -142,13 +142,16 @@ def test_normalize_two_points():
 
 
 def test_normalize_preserves_topology():
-    rng = np.random.default_rng(3)
-    p = PointSet(rng.random((25, 3)))
-    d = single_linkage(p)
-    scaled, s = normalize(d, p)
-    assert s >= 1.0
-    assert (scaled.left == d.left).all() and (scaled.right == d.right).all()
-    assert scaled.height == pytest.approx((d.height * s).tolist())
+    # on the 40-point input h * (d_max / h) rounds below d_max at one node
+    for seed, n in ((3, 25), (8, 40)):
+        p = PointSet(np.random.default_rng(seed).random((n, 3)))
+        d = single_linkage(p)
+        scaled, s = normalize(d, p)
+        assert s >= 1.0
+        assert (scaled.left == d.left).all() and (scaled.right == d.right).all()
+        assert scaled.height == pytest.approx((d.height * s).tolist())
+        iu, iv = np.triu_indices(p.n, 1)
+        assert (scaled.ultra_distances(iu, iv) >= cross_distances(p.coords, p.coords)[iu, iv]).all()
 
 
 def test_normalize_rejects_zero_heights():

@@ -39,6 +39,7 @@ def test_distortion_normalized_min_is_one():
     for seed in range(3):
         p = PointSet(rng.random((30, 3)))
         rep = distortion(p, single_linkage(p), normalize_first=True)
+        assert rep.min_ratio >= 1.0
         assert rep.min_ratio == pytest.approx(1.0, rel=1e-9)
         assert rep.scale >= 1.0
 
@@ -114,12 +115,16 @@ def _blocks(dendro):
 
 def _loop_scale(dendro, points, block_elems=1 << 22):
     X = points.coords
-    scale = 0.0
+    tops = []  # (height, farthest cross pair) per node
     for h, a_ids, b_ids in _blocks(dendro):
         rows = max(1, block_elems // max(1, len(b_ids)))
+        top = 0.0
         for s in range(0, len(a_ids), rows):
-            top = float(cross_distances(X[a_ids[s : s + rows]], X[b_ids]).max())
-            scale = max(scale, top / h)
+            top = max(top, float(cross_distances(X[a_ids[s : s + rows]], X[b_ids]).max()))
+        tops.append((h, top))
+    scale = max(top / h for h, top in tops)
+    while any(h * scale < top for h, top in tops):  # round up until dominating
+        scale = float(np.nextafter(scale, np.inf))
     return scale
 
 

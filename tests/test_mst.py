@@ -118,29 +118,36 @@ def test_exact_mst_equilateral_tie_break():
     assert (tree.w == w).all()
 
 
-def test_exact_mst_equals_kruskal_on_complete_graph():
-    rng = np.random.default_rng(23)
-    for n, d in ((8, 2), (30, 3), (60, 8)):
-        p = PointSet(rng.random((n, d)))
-        a = exact_mst(p)
-        b = kruskal(n, all_pairs(p))
-        assert a.edge_list() == b.edge_list()
+def _grid(k, dim):
+    axes = np.meshgrid(*[np.arange(k)] * dim)
+    return np.column_stack([a.ravel() for a in axes]).astype(float)
 
 
-def test_exact_mst_prim_path_matches_dense_path_with_ties():
-    # integer grid forces many exact weight ties through the repair pass
-    import ultrafit.mst as mst_mod
+_RNG = np.random.default_rng(23)
+MST_INPUTS = {
+    "uniform-8x2": _RNG.random((8, 2)),
+    "uniform-30x3": _RNG.random((30, 3)),
+    "uniform-60x8": _RNG.random((60, 8)),
+    # integer lattices and equal spacing: many exact weight ties
+    "grid-9x9": _grid(9, 2),
+    # rows out of lattice order, so Prim meets ties whose lower-index
+    # edge is not the one it found first
+    "grid-9x9-shuffled": _grid(9, 2)[np.random.default_rng(0).permutation(81)],
+    "lattice-7x7x7": _grid(7, 3),
+    "collinear-40": np.arange(40.0)[:, None] * 0.25,
+    # beyond the former 2048-point limit of the all-pairs branch
+    "grid-50x50": _grid(50, 2),
+    "uniform-2600x5": np.random.default_rng(5).random((2600, 5)),
+}
 
-    xs, ys = np.meshgrid(np.arange(9), np.arange(9))
-    p = PointSet(np.column_stack([xs.ravel(), ys.ravel()]).astype(float))
-    dense = kruskal(p.n, all_pairs(p))
-    old = mst_mod._DENSE_KRUSKAL_LIMIT
-    mst_mod._DENSE_KRUSKAL_LIMIT = 4  # force the Prim + tie-repair path
-    try:
-        prim = exact_mst(p)
-    finally:
-        mst_mod._DENSE_KRUSKAL_LIMIT = old
-    assert prim.edge_list() == dense.edge_list()
+
+@pytest.mark.parametrize("name", MST_INPUTS)
+def test_exact_mst_equals_kruskal_on_complete_graph(name):
+    p = PointSet(MST_INPUTS[name])
+    a = exact_mst(p)
+    b = kruskal(p.n, all_pairs(p))
+    assert a.edge_list() == b.edge_list()
+    assert a.w.tobytes() == b.w.tobytes()
 
 
 def test_mst_weight_not_above_spanner_tree_weight():
