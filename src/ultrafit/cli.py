@@ -53,7 +53,8 @@ def parse_points_csv(path: str) -> PointSet:
     """Comma-separated rows of float64 coordinates; optional header row.
 
     Accepts LF/CRLF, requires dot decimal separators, rejects non-finite
-    values, and reports the offending row and column on failure.
+    values, and reports the offending row and column on failure.  A first
+    line with a cell that is not a finite number is taken as a header.
     """
     try:
         with open(path, "rb") as fh:
@@ -63,39 +64,62 @@ def parse_points_csv(path: str) -> PointSet:
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path} is not UTF-8: {exc}") from None
     rows: list[list[float]] = []
+    row_lines: list[int] = []  # line number of each row, for messages
     width = None
     for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        parsed: list[float] = []
-        bad_col = None
-        for ci, cell in enumerate(cells, start=1):
-            try:
-                val = float(cell)
-                if not np.isfinite(val):
-                    raise ValueError
-                parsed.append(val)
-            except ValueError:
-                bad_col = ci
-                break
-        if bad_col is not None:
-            if not rows and ln == 1:
-                continue  # header row
+        try:
+            parsed = list(map(float, line.split(",")))
+        except ValueError:
+            parsed = None
+        if parsed is None or (ln == 1 and not np.isfinite(parsed).all()):
+            bad_col = _bad_column(line)
+            if bad_col is None or ln == 1:
+                continue  # blank line or header row
+            _finite_array(path, rows, row_lines)
             raise CliError(
                 EXIT_BAD_INPUT, f"{path}: row {ln}, column {bad_col}: not a finite number"
             )
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
+            _finite_array(path, rows, row_lines)
+            _finite_array(path, [parsed], [ln])
             raise CliError(
                 EXIT_BAD_INPUT,
                 f"{path}: row {ln}: expected {width} columns, got {len(parsed)}",
             )
         rows.append(parsed)
+        row_lines.append(ln)
     if not rows:
         raise CliError(EXIT_EMPTY, f"{path}: no data rows")
-    return PointSet(np.array(rows, dtype=np.float64))
+    return PointSet(_finite_array(path, rows, row_lines))
+
+
+def _bad_column(line: str) -> int | None:
+    """1-based column of the first cell that is not a finite number; None
+    for a blank line."""
+    if not line.strip():
+        return None
+    for ci, cell in enumerate(line.split(","), start=1):
+        try:
+            val = float(cell)
+        except ValueError:
+            return ci
+        if not np.isfinite(val):
+            return ci
+    return None
+
+
+def _finite_array(path: str, rows: list[list[float]], row_lines: list[int]) -> np.ndarray:
+    """Equally long rows as an array; names the first non-finite cell, in line order."""
+    X = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(X)
+    if bad.any():
+        r, c = np.argwhere(bad)[0].tolist()
+        raise CliError(
+            EXIT_BAD_INPUT, f"{path}: row {row_lines[r]}, column {c + 1}: not a finite number"
+        )
+    return X
 
 
 def _spanner_config(args) -> SpannerConfig:

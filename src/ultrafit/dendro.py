@@ -16,6 +16,14 @@ from .core import PointSet, cross_distances
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
+# Nodes whose children both have at least _SCREEN_MIN_SIDE leaves and whose
+# cross pairs number at least _SCREEN_MIN_ELEMS are screened (see
+# Dendrogram.cross_stats); below that a plain cdist block is cheaper.
+_SCREEN_MIN_SIDE = 8
+_SCREEN_MIN_ELEMS = 1 << 12
+# Screening bounds rounding errors relative to the squared norms; outside
+# this range a sum could overflow, or underflow could add absolute errors.
+_SCREEN_NORMS = (2.0**-900, np.finfo(np.float64).max / 4)
 
 
 class CrossStats(NamedTuple):
@@ -24,7 +32,64 @@ class CrossStats(NamedTuple):
     dmin: np.ndarray  # closest cross-pair distance
     pair: np.ndarray  # (m, 2) leaf ids of the first pair at dmin, left child's leaf first
     dmax: np.ndarray  # farthest cross-pair distance
-    inv_sum: np.ndarray  # sum of 1 / distance (inf if a distance is 0)
+
+
+def _blocks(a0: int, a1: int, b0: int, b1: int):
+    """Rows [a0, a1) times columns [b0, b1) as blocks of at most _CHUNK_ELEMS
+    entries in row-major order: row bands, or single rows cut into column
+    chunks when there are more than _CHUNK_ELEMS columns."""
+    cols = min(b1 - b0, _CHUNK_ELEMS)
+    rows = max(1, _CHUNK_ELEMS // cols)
+    for ra in range(a0, a1, rows):
+        for cb in range(b0, b1, cols):
+            yield ra, min(ra + rows, a1), cb, min(cb + cols, b1)
+
+
+def _extremes(block: np.ndarray):
+    """Closest entry (value, row, column; first in row-major order) and the farthest value."""
+    r, c = divmod(int(block.argmin()), block.shape[1])
+    return block[r, c], r, c, block.flat[block.argmax()]
+
+
+def _screen_factors(Z: np.ndarray, na: int):
+    """Factors L, R and margin E for the node whose rows Z are its left
+    child's na rows followed by its right child's, or None when M (below)
+    is outside _SCREEN_NORMS.
+
+    Rows are centred on the node mean: a' = a - c.  With N = |a'|^2,
+    L = [-2a', N, 1] and R = [b', 1, N], so (L @ R.T)[i, j] approximates
+    the squared distance s = |a_i - b_j|^2.  Against the square of the
+    cdist value D, the GEMM errs by at most (d+2) eps M, with
+    M = max N over the left rows + max N over the right rows, the norms
+    by d eps M / 2, the centring by 2 eps M and cdist itself by
+    (d+4) eps M, so |L @ R.T - D^2| <= E = 8 (d+4) eps M holds with
+    room to spare, in any summation order.
+    """
+    d = Z.shape[1]
+    W = np.empty((len(Z), d + 2))
+    Zc = np.subtract(Z, Z.mean(axis=0), out=W[:, :d])
+    N = np.einsum("ij,ij->i", Zc, Zc)
+    M = N[:na].max() + N[na:].max()
+    if not _SCREEN_NORMS[0] <= M <= _SCREEN_NORMS[1]:  # also catches NaN and inf
+        return None
+    Zc[:na] *= -2.0
+    W[:, d:] = 1.0
+    W[:na, d] = N[:na]
+    W[na:, d + 1] = N[na:]
+    return W[:na], W[na:], 8 * (d + 4) * np.finfo(np.float64).eps * M
+
+
+def _candidates(S: np.ndarray, E: float):
+    """Rows and columns of S holding every entry whose exact value may be
+    S's minimum or maximum: those within 2E of the extreme of S."""
+    rmin = S.min(axis=1)
+    rmax = S.max(axis=1)
+    low = rmin.min() + 2 * E
+    high = rmax.max() - 2 * E
+    near = rmin <= low
+    far = rmax >= high
+    cols = (S[near] <= low).any(axis=0) | (S[far] >= high).any(axis=0)
+    return np.flatnonzero(near | far), np.flatnonzero(cols)
 
 
 @dataclass
@@ -79,48 +144,86 @@ class Dendrogram:
             object.__setattr__(self, "_spans", (order, lo, hi))
         return self._spans
 
-    def cross_stats(self, points: PointSet) -> CrossStats:
-        """Scan every leaf pair once, at its least common ancestor.
-
-        Coordinates are put in DFS leaf order once, so both children of a
-        node are contiguous row slices; the left child's rows meet the
-        right child's columns in blocks of at most _CHUNK_ELEMS entries,
-        visited in row-major order.  The result depends only on topology
-        and points, so it is memoized per PointSet object.
-        """
-        if self._cross is not None and self._cross[0] is points:
-            return self._cross[1]
+    def _dfs_layout(self, points: PointSet):
+        """Coordinates in DFS leaf order, so both children of a node are
+        contiguous row slices, and per merge its spans (a0, a1, b0, b1):
+        left child rows [a0, a1), right child rows [b0, b1), b0 == a1."""
         if points.n != self.n:
             raise ValueError("dendrogram and point set sizes differ")
         order, lo, hi = self.leaf_spans()
-        Y = points.coords[order]
         lo, hi = lo.tolist(), hi.tolist()
-        m = len(self.height)
+        spans = [(lo[l], hi[l], lo[r], hi[r]) for l, r in zip(self.left.tolist(), self.right.tolist())]
+        return points.coords[order], spans
+
+    def cross_stats(self, points: PointSet) -> CrossStats:
+        """Closest pair and farthest distance over each merge's cross pairs.
+
+        Every reported distance is a cdist value: the left child's rows
+        meet the right child's in the _CHUNK_ELEMS blocks of _blocks.  A
+        small node scans each block with cdist.  A large one is screened:
+        one GEMM per block ranks its entries by approximate squared
+        distance (_screen_factors), and cdist recomputes only the rows and
+        columns holding entries within 2E of the block's approximate
+        minimum or maximum, which contain every entry at the exact
+        extremes, so the first closest pair in row-major order is found as
+        in a full scan.  The result depends only on topology and points,
+        so it is memoized per PointSet object.
+        """
+        if self._cross is not None and self._cross[0] is points:
+            return self._cross[1]
+        Y, spans = self._dfs_layout(points)
+        m = len(spans)
         dmin = np.empty(m)
         dmax = np.empty(m)
-        inv_sum = np.empty(m)
         first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
-        with np.errstate(divide="ignore"):
-            for i, (l, r) in enumerate(zip(self.left.tolist(), self.right.tolist())):
-                a0, a1, b0, b1 = lo[l], hi[l], lo[r], hi[r]
-                cols = min(b1 - b0, _CHUNK_ELEMS)
-                rows = max(1, _CHUNK_ELEMS // cols)
-                near, far, inv, at = np.inf, -np.inf, 0.0, (a0, b0)
-                for ra in range(a0, a1, rows):
-                    A = Y[ra : min(ra + rows, a1)]
-                    for cb in range(b0, b1, cols):
-                        block = cross_distances(A, Y[cb : min(cb + cols, b1)])
-                        k = int(block.argmin())
-                        if block.flat[k] < near:
-                            near = block.flat[k]
-                            at = (ra + k // block.shape[1], cb + k % block.shape[1])
-                        far = max(far, block.max())
-                        inv += np.reciprocal(block, out=block).sum()
-                dmin[i], dmax[i], inv_sum[i] = near, far, inv
-                first[i] = at
-        stats = CrossStats(dmin, order[first], dmax, inv_sum)
+        buf = np.empty(_CHUNK_ELEMS)  # GEMM output of screened blocks
+        for i, (a0, a1, b0, b1) in enumerate(spans):
+            screen = None
+            if min(a1 - a0, b1 - b0) >= _SCREEN_MIN_SIDE and (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
+                screen = _screen_factors(Y[a0:b1], a1 - a0)
+            near, far, at = np.inf, -np.inf, (a0, b0)
+            for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+                if screen is None:
+                    bmin, r, c, bmax = _extremes(cross_distances(Y[ra:re], Y[cb:ce]))
+                    r, c = ra + r, cb + c
+                else:
+                    L, R, E = screen
+                    A, B = L[ra - a0 : re - a0], R[cb - b0 : ce - b0]
+                    out = buf[: len(A) * len(B)]
+                    # the longer side runs along the rows of the GEMM output,
+                    # where the row reductions of _candidates are fast
+                    if len(A) <= len(B):
+                        rows, cols = _candidates(np.matmul(A, B.T, out=out.reshape(len(A), len(B))), E)
+                    else:
+                        cols, rows = _candidates(np.matmul(B, A.T, out=out.reshape(len(B), len(A))), E)
+                    rows += ra
+                    cols += cb
+                    bmin, r, c, bmax = _extremes(cross_distances(Y[rows], Y[cols]))
+                    r, c = rows[r], cols[c]
+                if bmin < near:
+                    near, at = bmin, (r, c)
+                far = max(far, bmax)
+            dmin[i], dmax[i] = near, far
+            first[i] = at
+        order = self.leaf_spans()[0]
+        stats = CrossStats(dmin, order[first], dmax)
         object.__setattr__(self, "_cross", (points, stats))
         return stats
+
+    def inv_sums(self, points: PointSet) -> np.ndarray:
+        """Per merge, the sum of 1 / distance over its cross pairs (inf if
+        one is 0): every pair once, through the cdist blocks of _blocks.
+        Only the mean distortion needs it, so it is computed on demand."""
+        Y, spans = self._dfs_layout(points)
+        out = np.empty(len(spans))
+        with np.errstate(divide="ignore"):
+            for i, (a0, a1, b0, b1) in enumerate(spans):
+                inv = 0.0
+                for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+                    block = cross_distances(Y[ra:re], Y[cb:ce])
+                    inv += np.reciprocal(block, out=block).sum()
+                out[i] = inv
+        return out
 
     # -- LCA queries -------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Distortion measurement and timing harness.
 
 Distortion is the exact all-pairs statistic max (and min, mean) of
-ultrametric distance over true distance.  Every pair is visited once at
-its LCA by Dendrogram.cross_stats; no sampling, a max statistic would miss
-its argmax otherwise.
+ultrametric distance over true distance.  Every pair is accounted for at
+its LCA by Dendrogram.cross_stats (max, min) and Dendrogram.inv_sums
+(mean); no sampling, a max statistic would miss its argmax otherwise.
 """
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,18 @@ from . import pipeline as _pipeline
 class DistortionReport:
     max_ratio: float
     min_ratio: float
-    mean_ratio: float
     argmax_pair: tuple[int, int]
     n: int
     algorithm: str = ""
     scale: float | None = None
+    _mean: float | Callable[[], float] = field(default=float("nan"), repr=False, compare=False)
+
+    @property
+    def mean_ratio(self) -> float:
+        """Mean ratio over all pairs; its scan runs on first read."""
+        if callable(self._mean):
+            self._mean = self._mean()
+        return self._mean
 
     def to_dict(self) -> dict:
         return {
@@ -55,7 +63,8 @@ def distortion(
     closest cross pair and its smallest is the height over its farthest;
     argmax_pair is the first closest pair of the first node attaining the
     max.  The mean sums height * (sum of 1 / distance) per node, equal to
-    the pairwise mean up to float rounding.
+    the pairwise mean up to float rounding; that sum scans every pair with
+    cdist, so it runs only when mean_ratio is first read.
     """
     if points.n != dendro.n:
         raise ValueError("point set and dendrogram sizes differ")
@@ -75,11 +84,11 @@ def distortion(
     return DistortionReport(
         max_ratio=float(h[top] / stats.dmin[top]),
         min_ratio=float((h / stats.dmax).min()),
-        mean_ratio=float((h * stats.inv_sum).sum()) / (points.n * (points.n - 1) // 2),
         argmax_pair=(min(arg), max(arg)),
         n=points.n,
         algorithm=algorithm,
         scale=scale,
+        _mean=lambda: float((h * dendro.inv_sums(points)).sum()) / (points.n * (points.n - 1) // 2),
     )
 
 

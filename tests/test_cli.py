@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from ultrafit.cli import main, parse_points_csv, worker_cap
+from ultrafit import PointSet, normalize, parse_merge_list
+from ultrafit import cli as cli_mod
+from ultrafit import dendro as dendro_mod
+from ultrafit.cli import EXIT_BAD_INPUT, EXIT_EMPTY, CliError, main, parse_points_csv, worker_cap
+from ultrafit.core import cross_distances
 
 COLLINEAR_CSV = "0.0\n1.0\n3.0\n"
 
@@ -242,3 +246,197 @@ def test_console_entry_point_runs(tmp_path):
     proc = run_cli(["fit", "--input", csv, "--algo", "exact"])
     assert proc.returncode == 0
     assert proc.stdout == "0 1 1.0 2\n3 2 3.0 3\n"
+
+
+# -- the per-cell CSV loop the line parser replaced, kept as the oracle
+
+
+def _cell_loop_parse(path):
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    rows = []
+    width = None
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        parsed = []
+        bad_col = None
+        for ci, cell in enumerate(cells, start=1):
+            try:
+                val = float(cell)
+                if not np.isfinite(val):
+                    raise ValueError
+                parsed.append(val)
+            except ValueError:
+                bad_col = ci
+                break
+        if bad_col is not None:
+            if not rows and ln == 1:
+                continue  # header row
+            raise CliError(EXIT_BAD_INPUT, f"{path}: row {ln}, column {bad_col}: not a finite number")
+        if width is None:
+            width = len(parsed)
+        elif len(parsed) != width:
+            raise CliError(EXIT_BAD_INPUT, f"{path}: row {ln}: expected {width} columns, got {len(parsed)}")
+        rows.append(parsed)
+    if not rows:
+        raise CliError(EXIT_EMPTY, f"{path}: no data rows")
+    return PointSet(np.array(rows, dtype=np.float64))
+
+
+def _random_csv(rng):
+    """A small CSV mixing the cases the parser must keep: headers, blank and
+    whitespace lines, CRLF, padded and unusual number spellings, and now and
+    then a bad cell, a non-finite cell or a ragged row."""
+    d = int(rng.integers(1, 5))
+    cells = ["0", "-1.5", " 2.25 ", "\t3e-2", "1E+3", "+.5", "7.", "1_000.5", " 4 ", "-0.0",
+             repr(float(rng.standard_normal()))]
+    odd = ["inf", "-inf", "nan", "1e999", "x", "", "1,5", "0x10", "--1", "1e", " "]
+    lines = []
+    if rng.random() < 0.4:
+        lines.append(",".join(rng.choice(["x", "y", "nan", "inf", "1.0", "label"], d)))
+    for _ in range(int(rng.integers(0, 8))):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(["", "   ", "\t"]))
+            continue
+        width = d + (int(rng.choice([-1, 1])) if r < 0.16 and d > 1 else 0)
+        row = [rng.choice(cells) if rng.random() < 0.5 else repr(float(rng.random() * 10)) for _ in range(width)]
+        if r > 0.93:
+            row[int(rng.integers(0, width))] = rng.choice(odd)
+        lines.append(",".join(row))
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.7 else "")
+
+
+def test_parse_csv_matches_cell_loop(tmp_path):
+    rng = np.random.default_rng(20)
+    outcomes = set()
+    for i in range(400):
+        path = write(tmp_path, f"r{i}.csv", _random_csv(rng))
+        try:
+            expect = _cell_loop_parse(path)
+        except CliError as exc:
+            with pytest.raises(CliError) as got:
+                parse_points_csv(path)
+            assert (got.value.code, str(got.value)) == (exc.code, str(exc))
+            outcomes.add(exc.code)
+            continue
+        got = parse_points_csv(path)
+        assert got.coords.shape == expect.coords.shape
+        assert got.coords.tobytes() == expect.coords.tobytes()
+        outcomes.add(0)
+    assert outcomes == {0, EXIT_BAD_INPUT, EXIT_EMPTY}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,2\n3,inf\n4\n",  # a non-finite cell before a ragged row
+        "1,2\n3\n4,nan\n",  # a ragged row before a non-finite cell
+        "1,2\n3,nan,4\n",  # a ragged row with a non-finite cell
+        "1,2\nnan,2\n5,x\n",  # a non-finite cell before a bad one
+        "nan,1\n1,2\n",  # a non-finite first line is a header
+        "x\n\n1e999\n",  # overflow to inf
+    ],
+)
+def test_parse_csv_error_order_matches_cell_loop(tmp_path, text):
+    path = write(tmp_path, "e.csv", text)
+    try:
+        expect = _cell_loop_parse(path).coords.tobytes()
+    except CliError as exc:
+        expect = str(exc)
+    try:
+        got = parse_points_csv(path).coords.tobytes()
+    except CliError as exc:
+        got = str(exc)
+    assert got == expect
+
+
+# -- evaluation inside the CLI
+
+
+def _fit_input(tmp_path):
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.standard_normal((150, 5)), rng.standard_normal((150, 5)) + 4.0])
+    return write(tmp_path, "blobs.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+
+
+def test_fit_normalize_and_compare_skip_the_mean_scan(tmp_path, monkeypatch):
+    calls = []
+    inv_sums = dendro_mod.Dendrogram.inv_sums
+
+    def counting(self, points):
+        calls.append(1)
+        return inv_sums(self, points)
+
+    monkeypatch.setattr(dendro_mod.Dendrogram, "inv_sums", counting)
+    csv = _fit_input(tmp_path)
+    out = str(tmp_path / "t.txt")
+    assert main(["fit", "--input", csv, "--algo", "approx", "--normalize", "--out", out]) == 0
+    assert main(["compare", "--input", csv, "--algo", "approx,acc,single"]) == 0
+    assert calls == []
+    assert main(["eval", "--input", csv, "--dendrogram", out, "--out", str(tmp_path / "e.json")]) == 0
+    assert calls == [1]
+
+
+def _parent_mean(points, dendro):
+    """The mean as the pre-screening kernel summed it: 1 / d over each
+    merge's cdist blocks of at most 2^18 entries, in row-major order."""
+    order, lo, hi = dendro.leaf_spans()
+    Y = points.coords[order]
+    inv_sum = np.empty(len(dendro.height))
+    for i, (l, r) in enumerate(zip(dendro.left.tolist(), dendro.right.tolist())):
+        a0, a1, b0, b1 = lo[l], hi[l], lo[r], hi[r]
+        cols = min(b1 - b0, 1 << 18)
+        rows = max(1, (1 << 18) // cols)
+        inv = 0.0
+        for ra in range(a0, a1, rows):
+            for cb in range(b0, b1, cols):
+                block = cross_distances(Y[ra : min(ra + rows, a1)], Y[cb : min(cb + cols, b1)])
+                inv += np.reciprocal(block, out=block).sum()
+        inv_sum[i] = inv
+    return float((dendro.height * inv_sum).sum()) / (points.n * (points.n - 1) // 2)
+
+
+@pytest.mark.parametrize("algo", ["approx", "exact"])
+def test_eval_mean_matches_parent_loop_bitwise(tmp_path, algo):
+    csv = _fit_input(tmp_path)
+    out = str(tmp_path / "t.txt")
+    assert main(["fit", "--input", csv, "--algo", algo, "--out", out]) == 0
+    points = parse_points_csv(csv)
+    dendro = parse_merge_list(open(out).read())
+    for extra, d in (([], dendro), (["--normalize"], normalize(dendro, points)[0])):
+        rep = str(tmp_path / "e.json")
+        assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep, *extra]) == 0
+        assert json.load(open(rep))["mean"] == _parent_mean(points, d)
+
+
+def test_cli_evaluation_runs_inside_cli_normalize_and_distortion(tmp_path, monkeypatch):
+    # the benchmark's eval_s stopwatch wraps exactly these two names
+    inside = []
+    scans = []
+    for name in ("normalize", "distortion"):
+        fn = getattr(cli_mod, name)
+
+        def wrapped(*args, _fn=fn, **kwargs):
+            inside.append(1)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cli_mod, name, wrapped)
+
+    def spy(a, b):
+        scans.append(bool(inside))
+        return cross_distances(a, b)
+
+    monkeypatch.setattr(dendro_mod, "cross_distances", spy)
+    csv = _fit_input(tmp_path)
+    assert main(["fit", "--input", csv, "--algo", "approx", "--normalize", "--out", str(tmp_path / "t.txt")]) == 0
+    assert scans and all(scans)
+    scans.clear()
+    assert main(["compare", "--input", csv, "--algo", "approx,single,average"]) == 0
+    assert scans and all(scans)

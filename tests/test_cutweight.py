@@ -10,6 +10,7 @@ from ultrafit import (
     exact_mst,
     kruskal,
 )
+from ultrafit import dendro as dendro_mod
 from ultrafit.core import cross_distances
 from ultrafit.cutweight import ClusterState
 
@@ -213,12 +214,17 @@ def _union_find_cut_weights(points, tree):
     return out
 
 
-def test_exact_cut_weights_bitwise_match_union_find_loop():
+def test_exact_cut_weights_bitwise_match_union_find_loop(monkeypatch):
     rng = np.random.default_rng(31)
     grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(10.0)), -1).reshape(-1, 2)
-    for coords in (rng.random((300, 20)), grid, rng.standard_normal((200, 3)) * 1e3 + 1e6):
-        p = PointSet(coords)
-        spanner = build_spanner(p, SpannerConfig(gamma=2.0, seed=5))
-        for tree in (exact_mst(p), kruskal(p.n, (spanner.u, spanner.v, spanner.w))):
-            expect = _union_find_cut_weights(p, tree)
-            assert exact_cut_weights(p, tree).tobytes() == expect.tobytes()
+    inputs = [rng.random((300, 20)), grid, rng.standard_normal((200, 3)) * 1e3 + 1e6]
+    for screen_all in (False, True):
+        if screen_all:  # screen every merge, however small
+            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
+            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
+        for coords in inputs:
+            p = PointSet(coords)
+            spanner = build_spanner(p, SpannerConfig(gamma=2.0, seed=5))
+            for tree in (exact_mst(p), kruskal(p.n, (spanner.u, spanner.v, spanner.w))):
+                expect = _union_find_cut_weights(p, tree)
+                assert exact_cut_weights(p, tree).tobytes() == expect.tobytes()

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ultrafit import (
     PointSet,
+    agglomerate,
     build_dendrogram,
     contract_duplicates,
     dedupe,
@@ -286,13 +289,55 @@ def _duplicates():
     return p, from_merge_rows(4, [0, 4, 2], [1, 3, 5], [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 5], ids=["default-chunk", "chunk5"])
-@pytest.mark.parametrize(
-    "make", [_random, _grid, _two, _caterpillar, _duplicates], ids=lambda f: f.__name__[1:]
-)
-def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
-    p, d = make()
-    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
+def _offset():
+    # far from the origin: uncentred squared norms would swamp the distances
+    p = PointSet(np.random.default_rng(31).random((40, 3)) + 1e6)
+    return p, single_linkage(p)
+
+
+def _huge():
+    # coordinates near 1e150: squared norms near 1e301 are still screened
+    p = PointSet(np.random.default_rng(32).random((30, 4)) * 1e150)
+    return p, single_linkage(p)
+
+
+def _tiny():
+    # coordinates near 1e-161: squared norms are subnormal, so nothing is screened
+    p = PointSet(np.random.default_rng(35).random((30, 4)) * 1e-161)
+    return p, single_linkage(p)
+
+
+def _high_d():
+    p = PointSet(np.random.default_rng(33).random((40, 77)))
+    return p, single_linkage(p)
+
+
+def _big_grid():
+    # many equal distances, and three merges above the default screening size
+    p = PointSet(np.stack(np.meshgrid(np.arange(16.0), np.arange(16.0)), -1).reshape(-1, 2))
+    return p, agglomerate(p, "average")
+
+
+def _grid_chain():
+    # the exact fit of the same grid merges one point at a time, all at height 1
+    p = _big_grid()[0]
+    return p, farach_exact(p).dendrogram
+
+
+def _dense_check(p, d, stats):
+    """Every node's dmin, first closest pair and dmax against a dense cdist scan."""
+    D = cross_distances(p.coords, p.coords)
+    leaves = _leaves(d)
+    for i, (l, r) in enumerate(zip(d.left.tolist(), d.right.tolist())):
+        a, b = leaves[l], leaves[r]
+        block = D[np.ix_(a, b)]
+        k = int(np.argmin(block))  # first closest pair in row-major order
+        assert stats.dmin[i] == block.min()
+        assert stats.pair[i].tolist() == [a[k // len(b)], b[k % len(b)]]
+        assert stats.dmax[i] == block.max()
+
+
+def _spy_entries(monkeypatch, chunk):
     entries = []
 
     def spy(a, b):
@@ -302,20 +347,49 @@ def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
         return out
 
     monkeypatch.setattr(dendro_mod, "cross_distances", spy)
-    stats = d.cross_stats(p)
-    assert sum(entries) == p.n * (p.n - 1) // 2  # every pair scanned exactly once
+    return entries
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 5], ids=["default-chunk", "chunk5"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _random, _grid, _two, _caterpillar, _duplicates,
+        _offset, _huge, _tiny, _high_d, _big_grid, _grid_chain,
+    ],
+    ids=lambda f: f.__name__[1:],
+)
+def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
+    p, d = make()
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
+    entries = _spy_entries(monkeypatch, chunk)
+    # default screening sizes, then every node screened
+    for side, elems in ((dendro_mod._SCREEN_MIN_SIDE, dendro_mod._SCREEN_MIN_ELEMS), (1, 1)):
+        monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", side)
+        monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", elems)
+        _dense_check(p, d, replace(d, _cross=None).cross_stats(p))
+    entries.clear()
+    inv = d.inv_sums(p)
+    assert sum(entries) == p.n * (p.n - 1) // 2  # the 1/d scan visits every pair once
     D = cross_distances(p.coords, p.coords)
     leaves = _leaves(d)
-    counts = 0
     for i, (l, r) in enumerate(zip(d.left.tolist(), d.right.tolist())):
-        a, b = leaves[l], leaves[r]
-        block = D[np.ix_(a, b)]
-        counts += block.size
-        k = int(np.argmin(block))  # first closest pair in row-major order
-        assert stats.dmin[i] == block.min()
-        assert stats.pair[i].tolist() == [a[k // len(b)], b[k % len(b)]]
-        assert stats.dmax[i] == block.max()
         with np.errstate(divide="ignore"):
-            assert stats.inv_sum[i] == pytest.approx((1.0 / block).sum(), rel=1e-12)
-    assert counts == p.n * (p.n - 1) // 2
+            expect = (1.0 / D[np.ix_(leaves[l], leaves[r])]).sum()
+        assert inv[i] == pytest.approx(expect, rel=1e-12)
 
+
+def test_screen_falls_back_near_overflow(monkeypatch):
+    # two clusters 1.3e154 apart: the root's squared norms exceed max / 4, so
+    # its 20 x 20 cross pairs get one plain cdist block; distances stay finite
+    rng = np.random.default_rng(34)
+    x = np.concatenate([rng.random(20) * 1e152, 1.3e154 + rng.random(20) * 1e152])
+    p = PointSet(x[:, None])
+    d = single_linkage(p)
+    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
+    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
+    entries = _spy_entries(monkeypatch, dendro_mod._CHUNK_ELEMS)
+    stats = replace(d, _cross=None).cross_stats(p)
+    assert 20 * 20 in entries
+    assert np.isfinite(stats.dmax).all()
+    _dense_check(p, d, stats)

@@ -163,34 +163,45 @@ def _fits():
             yield p, run_algorithm(name, p, cfg).dendrogram
 
 
-def test_normalize_and_distortion_match_block_loops():
-    for p, d in _fits():
-        for block_elems in (1 << 22, 7):
-            assert normalize(d, p)[1] == _loop_scale(d, p, block_elems)
-            scaled, _ = normalize(d, p)
-            for dd in (d, scaled):
-                rep = distortion(p, dd)
-                best, worst, mean, arg = _loop_distortion(dd, p, block_elems)
-                assert rep.max_ratio == best
-                assert rep.min_ratio == worst
-                assert rep.argmax_pair == arg
-                assert rep.mean_ratio == pytest.approx(mean, rel=1e-12)
+def _screen_every_node(monkeypatch):
+    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
+    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
 
 
-def test_zero_distance_error_names_the_loops_pair():
+def test_normalize_and_distortion_match_block_loops(monkeypatch):
+    for screen_all in (False, True):
+        if screen_all:
+            _screen_every_node(monkeypatch)
+        for p, d in _fits():
+            for block_elems in (1 << 22, 7):
+                assert normalize(d, p)[1] == _loop_scale(d, p, block_elems)
+                scaled, _ = normalize(d, p)
+                for dd in (d, scaled):
+                    rep = distortion(p, dd)
+                    best, worst, mean, arg = _loop_distortion(dd, p, block_elems)
+                    assert rep.max_ratio == best
+                    assert rep.min_ratio == worst
+                    assert rep.argmax_pair == arg
+                    assert rep.mean_ratio == pytest.approx(mean, rel=1e-12)
+
+
+def test_zero_distance_error_names_the_loops_pair(monkeypatch):
     # refit on distinct points, then make two of them coincide: normalize does
     # not refuse duplicates, distortion names the first zero pair in merge order
     rng = np.random.default_rng(9)
     coords = rng.random((30, 2))
     d = single_linkage(PointSet(coords))
     coords[[4, 17, 25]] = coords[[11, 3, 17]]
-    p = PointSet(coords)
-    assert normalize(d, p)[1] == _loop_scale(d, p)
     with pytest.raises(ValueError) as expect:
-        _loop_distortion(d, p)
-    with pytest.raises(ValueError, match="dedupe first") as got:
-        distortion(p, d)
-    assert str(got.value) == str(expect.value)
+        _loop_distortion(d, PointSet(coords))
+    for screen_all in (False, True):
+        if screen_all:
+            _screen_every_node(monkeypatch)
+        p = PointSet(coords)  # a new object, so the scan is not reused
+        assert normalize(d, p)[1] == _loop_scale(d, p)
+        with pytest.raises(ValueError, match="dedupe first") as got:
+            distortion(p, d)
+        assert str(got.value) == str(expect.value)
 
 
 def test_normalize_then_distortion_scans_once(monkeypatch):
