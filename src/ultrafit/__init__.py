@@ -5,8 +5,8 @@ cut weights, cartesian tree), an exact optimal baseline, the classic
 linkage baselines, and an exact distortion-evaluation harness.
 """
 
-from .core import PointSet, UnionFind, WeightedEdge, dedupe, distance
-from .cutweight import ClusterState, approximate_cut_weights, exact_cut_weights
+from .core import PointSet, WeightedEdge, dedupe, distance
+from .cutweight import approximate_cut_weights, exact_cut_weights, kt_factor
 from .dendro import (
     Dendrogram,
     build_dendrogram,
@@ -27,7 +27,6 @@ from .mst import (
     connect_components,
     exact_mst,
     kruskal,
-    kt_factor,
 )
 from .pipeline import (
     ALGORITHMS,
@@ -43,14 +42,14 @@ from .spanner import SpannerConfig, SpannerGraph, build_spanner, estimate_scales
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointSet", "UnionFind", "WeightedEdge", "dedupe", "distance",
-    "ClusterState", "approximate_cut_weights", "exact_cut_weights",
+    "PointSet", "WeightedEdge", "dedupe", "distance",
+    "approximate_cut_weights", "exact_cut_weights", "kt_factor",
     "Dendrogram", "build_dendrogram", "contract_duplicates", "expand_duplicates", "format_merge_list",
     "from_merge_rows", "normalize", "parse_merge_list", "to_merge_rows", "to_newick",
     "DistortionReport", "benchmark", "distortion",
     "METHODS", "agglomerate", "single_linkage",
     "DisconnectedGraphError", "SpanningTree", "connect_components",
-    "exact_mst", "kruskal", "kt_factor",
+    "exact_mst", "kruskal",
     "ALGORITHMS", "FitResult", "approx_acc_ult", "approx_ult",
     "brute_force_opt_alpha", "farach_exact", "run_algorithm",
     "SpannerConfig", "SpannerGraph", "build_spanner", "estimate_scales", "verify_stretch",

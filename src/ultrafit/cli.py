@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 malformed input file, 3 unknown algorithm or format,
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -37,16 +36,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         self.code = code
         super().__init__(message)
-
-
-def worker_cap() -> int:
-    """Worker-count cap from ULTRAFIT_THREADS; the pipelines run on a
-    single worker, so any positive cap is honored as-is."""
-    raw = os.environ.get("ULTRAFIT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def parse_points_csv(path: str) -> PointSet:
@@ -259,12 +248,14 @@ def cmd_eval(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="points CSV (rows = points)")
+    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+
+
+def _add_spanner(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=2.5, help="target stretch (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="hash seed")
     p.add_argument("--reps", type=int, default=None, help="hash repetitions per scale")
     p.add_argument("--projections", type=int, default=None, help="projections per repetition")
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--normalize", action="store_true", help="scale output to dominate the metric")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,25 +264,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit an ultrametric and export the dendrogram")
     _add_common(fit)
+    _add_spanner(fit)
+    fit.add_argument("--normalize", action="store_true", help="scale output to dominate the metric")
     fit.add_argument("--algo", default="approx", help=f"one of {ALGORITHMS}")
     fit.add_argument("--format", default="merges", help=f"one of {FORMATS}")
     fit.set_defaults(func=cmd_fit)
 
     cmp_ = sub.add_parser("compare", help="normalized max distortion and timing per algorithm")
     _add_common(cmp_)
+    _add_spanner(cmp_)
     cmp_.add_argument("--algo", default=",".join(ALGORITHMS), help="comma-separated algorithm list")
     cmp_.add_argument("--repeats", type=int, default=1, help="timing repetitions")
     cmp_.set_defaults(func=cmd_compare)
 
     ev = sub.add_parser("eval", help="distortion report for an exported merge list")
     _add_common(ev)
+    ev.add_argument("--normalize", action="store_true", help="rescale to dominate the metric first")
     ev.add_argument("--dendrogram", required=True, help="merge-list file from fit")
     ev.set_defaults(func=cmd_eval)
     return ap
 
 
 def main(argv=None) -> int:
-    worker_cap()  # validate the env var early; pipelines are single-worker
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,4 +1,5 @@
-"""Geometric and set-merging primitives shared by every other module.
+"""Geometric primitives and the canonical edge order shared by every
+other module.
 
 All Euclidean distances in the package flow through the cdist kernel of
 scipy so that any two code paths computing the distance of the same point
@@ -111,41 +112,6 @@ def dedupe(points: PointSet) -> tuple[PointSet, dict[int, list[int]]]:
     for orig, ni in enumerate(new_of_old):
         groups[int(ni)].append(orig)
     return PointSet(coords[first[order]]), groups
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path compression."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-        self.n_roots = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        if not 0 <= x < len(p):
-            raise IndexError(f"element {x} out of range")
-        x = int(x)
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = int(p[x])
-        return x
-
-    def union(self, x: int, y: int) -> int:
-        """Merge the sets of x and y; returns the surviving root."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return rx
-        sx, sy = self.size[rx], self.size[ry]
-        # larger set's root survives; equal sizes keep the smaller root id
-        if sx < sy or (sx == sy and ry < rx):
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] = sx + sy
-        self.n_roots -= 1
-        return int(rx)
 
 
 def canonical_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Per-edge cut weights over a spanning tree.
+"""Per-edge cut weights over a spanning tree, and the approximate-Kruskal
+factor of a tree.
 
 Tree edges are processed in ascending canonical order; each edge merges
 the two clusters containing its endpoints.  The exact variant scans all
@@ -8,60 +9,9 @@ representative and radius per cluster and over-estimates by at most 5x.
 
 import numpy as np
 
-from .core import PointSet, cross_distances, edge_distances
+from .core import PointSet, edge_distances
 from .dendro import build_dendrogram
 from .mst import SpanningTree
-
-
-class ClusterState:
-    """Union-find over points augmented with a representative point r_C and
-    the exact radius m_C = max distance from r_C to any cluster member.
-
-    A cluster's representative is the first entry of its member list."""
-
-    def __init__(self, points: PointSet):
-        n = points.n
-        self.points = points
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-        self.rep = np.arange(n, dtype=np.int64)
-        self.radius = np.zeros(n, dtype=np.float64)
-        self.members: list[list[int] | None] = [[i] for i in range(n)]
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        x = int(x)
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = int(p[x])
-        return x
-
-    def merge(self, x: int, y: int) -> tuple[float, float, float]:
-        """Merge the clusters of x and y.
-
-        The larger cluster C (ties to the smaller root index) keeps its
-        representative; the smaller cluster D is scanned against r_C to
-        update the radius.  Returns (d(r_C, r_D), m_C, m_D) as observed
-        just before the merge.
-        """
-        ra, rb = self.find(x), self.find(y)
-        if ra == rb:
-            raise ValueError("merge of already-joined clusters")
-        if self.size[rb] > self.size[ra] or (self.size[rb] == self.size[ra] and rb < ra):
-            ra, rb = rb, ra  # ra is C
-        X = self.points.coords
-        rc = int(self.rep[ra])
-        m_c = float(self.radius[ra])
-        m_d = float(self.radius[rb])
-        small = self.members[rb]
-        scan = cross_distances(X[small], X[rc : rc + 1])[:, 0]
-        d_rr = float(scan[0])  # r_D heads D's members
-        self.radius[ra] = max(m_c, float(scan.max()))
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.members[ra].extend(small)
-        self.members[rb] = None
-        return d_rr, m_c, m_d
 
 
 def exact_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
@@ -80,10 +30,13 @@ def approximate_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
     5 * max(d(r_C, r_D), m_C - d(r_C, r_D), m_D - d(r_C, r_D)),
     which satisfies CW(e) <= estimate <= 5 * CW(e).
 
-    The merges are those of ClusterState.  Which cluster is C, its
-    representative and the members of D depend only on the tree order and
-    the cluster sizes, so they are laid out first and every scan of D
-    against r_C runs in one edge_distances call.
+    Each cluster keeps a representative r_C, the first entry of its member
+    list, and its radius m_C = max distance from r_C to a member.  The
+    larger cluster C (ties to the smaller root index) keeps its
+    representative; the members of D are scanned against r_C.  Which
+    cluster is C, its representative and the members of D depend only on
+    the tree order and the cluster sizes, so they are laid out first and
+    every scan of D against r_C runs in one edge_distances call.
     """
     n = points.n
     parent = list(range(n))
@@ -126,3 +79,22 @@ def approximate_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
         m_d.append(radius[d])
         radius[c] = max(radius[c], top)
     return 5.0 * np.maximum(np.maximum(d_rr, np.array(m_c) - d_rr), np.array(m_d) - d_rr)
+
+
+def kt_factor(points: PointSet, tree: SpanningTree) -> float:
+    """Smallest gamma for which the tree is a gamma-approximate Kruskal tree.
+
+    Equals the max over non-tree pairs of (heaviest edge on the tree path
+    between them) / (their true distance), clamped below at 1.  Tree edges
+    ascend, so at the merge of edge i that heaviest edge is edge i itself
+    for every cross pair, and the max over them is w_i / (closest cross
+    pair), read from the cross-pair kernel on the tree-order dendrogram
+    that exact_cut_weights reads too.  The merging edge's own pair is a
+    cross pair there, and gives w_i / d = 1 exactly when w_i is its cdist
+    value, as in every tree this package builds; the clamp absorbs it.
+    Quadratic; for tests and bound certification, not production runs.
+    """
+    if points.n < 2:
+        return 1.0
+    dmin = build_dendrogram(tree, np.arange(points.n - 1)).cross_stats(points).dmin
+    return max(1.0, float((tree.w / dmin).max()))

@@ -100,7 +100,6 @@ class Dendrogram:
     height: np.ndarray
     size: np.ndarray
     leaf_labels: np.ndarray
-    _lca: tuple | None = field(default=None, repr=False, compare=False)
     _spans: tuple | None = field(default=None, repr=False, compare=False)
     _cross: tuple | None = field(default=None, repr=False, compare=False)  # (points, CrossStats)
 
@@ -225,84 +224,21 @@ class Dendrogram:
                 out[i] = inv
         return out
 
-    # -- LCA queries -------------------------------------------------------
-
-    def _lca_index(self):
-        if self._lca is None:
-            n = self.n
-            total = 2 * n - 1
-            tour = np.empty(2 * total - 1, dtype=np.int64)
-            depth = np.empty(2 * total - 1, dtype=np.int32)
-            first = np.full(total, -1, dtype=np.int64)
-            pos = 0
-            stack: list[tuple[int, int, int]] = [(self.root, 0, 0)]  # node, depth, state
-            while stack:
-                node, dep, state = stack.pop()
-                tour[pos] = node
-                depth[pos] = dep
-                if first[node] < 0:
-                    first[node] = pos
-                pos += 1
-                if node >= n and state < 2:
-                    l, r = self._children(node)
-                    stack.append((node, dep, state + 1))
-                    stack.append(((l, r)[state], dep + 1, 0))
-            m = pos
-            tour = tour[:m]
-            depth = depth[:m]
-            levels = max(1, m.bit_length())
-            table = np.empty((levels, m), dtype=np.int64)
-            table[0] = np.arange(m)
-            span = 1
-            for lev in range(1, levels):
-                prev = table[lev - 1]
-                cur = prev.copy()
-                k = m - span
-                right = prev[span : span + k]
-                pick = depth[right] < depth[cur[:k]]
-                cur[:k][pick] = right[pick]
-                table[lev] = cur
-                span *= 2
-            object.__setattr__(self, "_lca", (tour, depth, first, table))
-        return self._lca
-
-    def lca(self, us, vs) -> np.ndarray:
-        tour, depth, first, table = self._lca_index()
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        i = first[us]
-        j = first[vs]
-        a = np.minimum(i, j)
-        b = np.maximum(i, j)
-        length = b - a + 1
-        lev = np.maximum(length.astype(np.int64).clip(min=1), 1)
-        lev = np.floor(np.log2(lev)).astype(np.int64)
-        left = table[lev, a]
-        right = table[lev, b - (1 << lev) + 1]
-        pick = depth[right] < depth[left]
-        res = np.where(pick, right, left)
-        return tour[res]
+    # -- LCA heights -------------------------------------------------------
 
     def ultra_distance(self, u: int, v: int) -> float:
-        """Height of the least common ancestor of leaves u and v."""
+        """Height of the least common ancestor of leaves u and v: the first
+        merge row whose leaf span holds both leaves.  Rows ascend, so every
+        other row holding both is an ancestor of that one.  O(n) per query."""
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"leaf id out of range: ({u}, {v}) with n={n}")
         if u == v:
             return 0.0
-        node = int(self.lca([u], [v])[0])
-        return float(self.height[node - n])
-
-    def ultra_distances(self, us, vs) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if len(us) == 0:
-            return np.empty(0)
-        nodes = self.lca(us, vs)
-        out = np.zeros(len(us))
-        internal = nodes >= self.n
-        out[internal] = self.height[nodes[internal] - self.n]
-        return out
+        _, lo, hi = self.leaf_spans()
+        a, b = sorted((int(lo[u]), int(lo[v])))
+        row = int(np.argmax((lo[n:] <= a) & (b < hi[n:])))
+        return float(self.height[row])
 
     def ultrametric_matrix(self) -> np.ndarray:
         """Dense n x n matrix of LCA heights. Quadratic memory; small n only."""
@@ -393,7 +329,7 @@ def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
     the ulps it takes for every scaled height to reach its node's farthest
     cross pair, so afterwards min over pairs of height / distance is 1
     exactly.  Topology is unchanged, so the scaled dendrogram shares the
-    LCA index, leaf spans and cross-pair statistics of the input.
+    leaf spans and cross-pair statistics of the input.
     """
     if dendro.n != points.n:
         raise ValueError("dendrogram and point set sizes differ")

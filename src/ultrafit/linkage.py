@@ -2,8 +2,8 @@
 
 Nearest-neighbor-chain agglomeration over a full distance matrix with
 Lance-Williams updates, O(n^2) time and space.  Merge heights are sorted
-ascending before the dendrogram is assembled; all four rules are
-reducible, so the sorted rows form a valid monotone dendrogram.
+ascending as the dendrogram is assembled; all four rules are reducible,
+so the sorted rows form a valid monotone dendrogram.
 
 Ward heights follow the square-root convention: the matrix holds plain
 distances and the update runs on their squares, so singleton merges
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import PointSet, cross_distances
 from .dendro import Dendrogram, from_merge_rows
-from .mst import exact_mst
+from .mst import SpanningTree, exact_mst
 from . import dendro as _dendro
 
 METHODS = ("single", "complete", "average", "ward")
@@ -81,27 +81,7 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         D[b, :] = np.inf
         D[:, b] = np.inf
 
-    # sort rows by height (stable keeps the merge sequence on ties), then
-    # resolve slot ids to dendrogram node ids
-    order = sorted(range(n - 1), key=lambda i: merges[i][0])
-    parent = np.arange(n, dtype=np.int64)
-    node_of = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
-
-    left = np.empty(n - 1, dtype=np.int64)
-    right = np.empty(n - 1, dtype=np.int64)
-    height = np.empty(n - 1)
-    for row, mi in enumerate(order):
-        h, a, b = merges[mi]
-        ra, rb = find(a), find(b)
-        left[row] = node_of[ra]
-        right[row] = node_of[rb]
-        height[row] = h
-        parent[rb] = ra
-        node_of[ra] = n + row
-    return from_merge_rows(n, left, right, height)
+    # the slot pairs form a spanning tree of the points, in merge order;
+    # build_dendrogram's stable sort by height keeps that order on ties
+    h, a, b = (np.array(col) for col in zip(*merges))
+    return _dendro.build_dendrogram(SpanningTree(n, a, b, h), h)

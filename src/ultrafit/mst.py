@@ -1,11 +1,13 @@
-"""Spanning trees: Kruskal over sparse graphs, an exact Euclidean MST
-baseline, and certification of the approximate-Kruskal-tree factor."""
+"""Spanning trees: Kruskal over sparse graphs and an exact Euclidean MST
+baseline."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .core import PointSet, UnionFind, WeightedEdge, canonical_edges, cross_distances
+from .core import PointSet, WeightedEdge, canonical_edges, cross_distances
 
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts this many edges per point per batch
 
@@ -32,8 +34,9 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass
 class SpanningTree:
-    """Tree over n points: exactly n-1 edges, stored in canonical
-    (weight, min index, max index) order."""
+    """Tree over n points: exactly n-1 edges.  kruskal, connect_components
+    and exact_mst store them in canonical (weight, min index, max index)
+    order, which the cut-weight passes and kt_factor rely on."""
 
     n: int
     u: np.ndarray
@@ -164,18 +167,16 @@ def connect_components(points: PointSet, forest) -> SpanningTree:
     """
     n = points.n
     fu, fv, fw = _as_edge_arrays(forest)
-    uf = UnionFind(n)
-    for a, b in zip(fu, fv):
-        uf.union(int(a), int(b))
     eu, ev, ew = list(fu), list(fv), list(fw)
     X = points.coords
-    while uf.n_roots > 1:
-        roots = np.array([uf.find(i) for i in range(n)])
-        uniq, counts = np.unique(roots, return_counts=True)
-        order = np.lexsort((uniq, counts))  # smallest size, then smallest root
-        small = uniq[order[0]]
-        members = np.flatnonzero(roots == small)
-        others = np.flatnonzero(roots != small)
+    while True:
+        # labels number the components in order of their smallest member
+        k, labels = connected_components(coo_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n)), directed=False)
+        if k == 1:
+            break
+        small = int(np.argmin(np.bincount(labels)))  # first minimum: smallest size, then smallest member
+        members = np.flatnonzero(labels == small)
+        others = np.flatnonzero(labels != small)
         block = cross_distances(X[members], X[others])
         flat = int(np.argmin(block))  # first minimum: lexicographic (member, other)
         mi, oi = divmod(flat, len(others))
@@ -183,7 +184,6 @@ def connect_components(points: PointSet, forest) -> SpanningTree:
         eu.append(min(a, b))
         ev.append(max(a, b))
         ew.append(float(block[mi, oi]))
-        uf.union(a, b)
     cu, cv, cw = canonical_edges(np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64), np.array(ew))
     return SpanningTree(n=n, u=cu, v=cv, w=cw)
 
@@ -231,38 +231,3 @@ def exact_mst(points: PointSet) -> SpanningTree:
         ev[step] = j
         ew[step] = best[j]
     return SpanningTree(n, *canonical_edges(eu, ev, ew))
-
-
-def kt_factor(points: PointSet, tree: SpanningTree) -> float:
-    """Smallest gamma for which the tree is a gamma-approximate Kruskal tree.
-
-    Equals the max over non-tree pairs of (heaviest edge on the tree path
-    between them) / (their true distance), clamped below at 1.  All-pairs
-    scan; intended for tests and bound certification, not production runs.
-    """
-    n = points.n
-    if n < 3:
-        return 1.0
-    X = points.coords
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    uf = UnionFind(n)
-    worst = 1.0
-    for ei in range(n - 1):  # tree edges are stored ascending already
-        eu, ev = int(tree.u[ei]), int(tree.v[ei])
-        a = uf.find(eu)
-        b = uf.find(ev)
-        wmax = float(tree.w[ei])
-        ma, mb = members[a], members[b]
-        if len(ma) * len(mb) > 1:
-            block = cross_distances(X[ma], X[mb])
-            ratios = wmax / block
-            # the merging edge is the only tree pair crossing this cut
-            ratios[ma.index(eu), mb.index(ev)] = 0.0
-            top = float(ratios.max())
-            if top > worst:
-                worst = top
-        r = uf.union(a, b)
-        other = b if r == a else a
-        members[r] = ma + mb
-        members[other] = None
-    return worst

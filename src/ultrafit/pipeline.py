@@ -41,10 +41,6 @@ class FitResult:
     edge_counts: dict[str, int] = field(default_factory=dict)
     tree: SpanningTree | None = None
 
-    @property
-    def total_ms(self) -> float:
-        return sum(self.timings_ms.values())
-
 
 def _require_distinct(points: PointSet):
     if len(np.unique(points.coords, axis=0)) != points.n:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import PointSet, WeightedEdge, edge_distances, paired_distances
+from .core import PointSet, edge_distances, paired_distances
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 
@@ -63,9 +63,6 @@ class SpannerGraph:
     @property
     def edge_count(self) -> int:
         return len(self.u)
-
-    def edge_list(self) -> list[WeightedEdge]:
-        return [WeightedEdge(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
 
 
 def estimate_scales(points: PointSet, config: SpannerConfig) -> list[float]:

@@ -9,7 +9,7 @@ import pytest
 from ultrafit import PointSet, normalize, parse_merge_list
 from ultrafit import cli as cli_mod
 from ultrafit import dendro as dendro_mod
-from ultrafit.cli import EXIT_BAD_INPUT, EXIT_EMPTY, CliError, main, parse_points_csv, worker_cap
+from ultrafit.cli import EXIT_BAD_INPUT, EXIT_EMPTY, CliError, main, parse_points_csv
 from ultrafit.core import cross_distances
 
 COLLINEAR_CSV = "0.0\n1.0\n3.0\n"
@@ -230,15 +230,22 @@ def test_compare_unknown_algorithm_exit_3(tmp_path):
     assert main(["compare", "--input", csv, "--algo", "exact,upgma"]) == 3
 
 
-def test_worker_cap_parsing(monkeypatch):
-    monkeypatch.delenv("ULTRAFIT_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("ULTRAFIT_THREADS", "8")
-    assert worker_cap() == 8
-    monkeypatch.setenv("ULTRAFIT_THREADS", "junk")
-    assert worker_cap() == 1
-    monkeypatch.setenv("ULTRAFIT_THREADS", "-2")
-    assert worker_cap() == 1
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    dendro = write(tmp_path, "d.txt", "0 1 1.0 2\n3 2 3.0 3\n")
+    evaluate = ["eval", "--input", csv, "--dendrogram", dendro]
+    for argv in (
+        [*evaluate, "--gamma", "2.0"],
+        [*evaluate, "--seed", "1"],
+        [*evaluate, "--reps", "2"],
+        [*evaluate, "--projections", "2"],
+        ["compare", "--input", csv, "--algo", "exact", "--normalize"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(evaluate) == 0  # the same call without the flag parses
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ultrafit import PointSet, UnionFind, dedupe, distance
+from ultrafit import PointSet, dedupe, distance
 from ultrafit.core import canonical_edges, cross_distances, paired_distances
 
 
@@ -95,34 +95,6 @@ def test_dedupe_preserves_first_occurrence_order():
     q, groups = dedupe(p)
     assert q.coords[:, 0].tolist() == [5, 1, 0]
     assert groups == {0: [0, 2], 1: [1], 2: [3]}
-
-
-def test_union_find_basics():
-    uf = UnionFind(5)
-    assert uf.find(3) == 3
-    uf.union(0, 1)
-    assert uf.find(1) == uf.find(0)
-
-
-def test_union_find_chain_size():
-    uf = UnionFind(5)
-    for i in range(4):
-        uf.union(i, i + 1)
-    root = uf.find(0)
-    assert all(uf.find(i) == root for i in range(5))
-    assert uf.size[root] == 5
-    assert uf.n_roots == 1
-
-
-def test_union_find_root_count_drops_by_one():
-    rng = np.random.default_rng(7)
-    uf = UnionFind(30)
-    for _ in range(100):
-        a, b = rng.integers(0, 30, 2)
-        before = uf.n_roots
-        joined = uf.find(a) == uf.find(b)
-        uf.union(a, b)
-        assert uf.n_roots == before - (0 if joined else 1)
 
 
 def test_canonical_edge_order():

@@ -4,15 +4,16 @@ import pytest
 from ultrafit import (
     PointSet,
     SpannerConfig,
+    SpanningTree,
     approximate_cut_weights,
     build_spanner,
     exact_cut_weights,
     exact_mst,
     kruskal,
+    kt_factor,
 )
 from ultrafit import dendro as dendro_mod
 from ultrafit.core import cross_distances
-from ultrafit.cutweight import ClusterState
 
 COLLINEAR = PointSet([[0.0], [1.0], [3.0]])
 SIMPLEX = PointSet((np.eye(3) / np.sqrt(2)).tolist())
@@ -94,6 +95,58 @@ def test_exact_permutation_invariant():
     assert set(relabeled) == set(original)
     for k in original:
         assert original[k] == pytest.approx(relabeled[k], rel=1e-12)
+
+
+class ClusterState:
+    """Union-find over points augmented with a representative point r_C and
+    the exact radius m_C = max distance from r_C to any cluster member: the
+    per-merge form of approximate_cut_weights, kept as its oracle.
+
+    A cluster's representative is the first entry of its member list."""
+
+    def __init__(self, points: PointSet):
+        n = points.n
+        self.points = points
+        self.parent = np.arange(n, dtype=np.int64)
+        self.size = np.ones(n, dtype=np.int64)
+        self.rep = np.arange(n, dtype=np.int64)
+        self.radius = np.zeros(n, dtype=np.float64)
+        self.members: list[list[int] | None] = [[i] for i in range(n)]
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        x = int(x)
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = int(p[x])
+        return x
+
+    def merge(self, x: int, y: int) -> tuple[float, float, float]:
+        """Merge the clusters of x and y.
+
+        The larger cluster C (ties to the smaller root index) keeps its
+        representative; the smaller cluster D is scanned against r_C to
+        update the radius.  Returns (d(r_C, r_D), m_C, m_D) as observed
+        just before the merge.
+        """
+        ra, rb = self.find(x), self.find(y)
+        if ra == rb:
+            raise ValueError("merge of already-joined clusters")
+        if self.size[rb] > self.size[ra] or (self.size[rb] == self.size[ra] and rb < ra):
+            ra, rb = rb, ra  # ra is C
+        X = self.points.coords
+        rc = int(self.rep[ra])
+        m_c = float(self.radius[ra])
+        m_d = float(self.radius[rb])
+        small = self.members[rb]
+        scan = cross_distances(X[small], X[rc : rc + 1])[:, 0]
+        d_rr = float(scan[0])  # r_D heads D's members
+        self.radius[ra] = max(m_c, float(scan.max()))
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.members[ra].extend(small)
+        self.members[rb] = None
+        return d_rr, m_c, m_d
 
 
 def test_cluster_state_radius_attained():
@@ -228,3 +281,61 @@ def test_exact_cut_weights_bitwise_match_union_find_loop(monkeypatch):
             for tree in (exact_mst(p), kruskal(p.n, (spanner.u, spanner.v, spanner.w))):
                 expect = _union_find_cut_weights(p, tree)
                 assert exact_cut_weights(p, tree).tobytes() == expect.tobytes()
+
+
+def _block_loop_kt_factor(points, tree):
+    """The all-pairs loop kt_factor ran before it read the cross-pair
+    kernel, kept as the oracle: per merge, the edge weight over every cross
+    pair's distance, with the merging edge's own pair masked out."""
+    n = points.n
+    if n < 3:
+        return 1.0
+    X = points.coords
+    members = [[i] for i in range(n)]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    worst = 1.0
+    for eu, ev, wmax in zip(tree.u.tolist(), tree.v.tolist(), tree.w.tolist()):
+        a, b = find(eu), find(ev)
+        ma, mb = members[a], members[b]
+        if len(ma) * len(mb) > 1:
+            ratios = wmax / cross_distances(X[ma], X[mb])
+            ratios[ma.index(eu), mb.index(ev)] = 0.0  # the only tree pair crossing this cut
+            worst = max(worst, float(ratios.max()))
+        parent[b] = a
+        members[a] = ma + mb
+    return worst
+
+
+def test_kt_factor_bitwise_matches_block_loop(monkeypatch):
+    rng = np.random.default_rng(43)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), -1).reshape(-1, 2)
+    inputs = [
+        rng.random((2, 3)),
+        rng.random((3, 2)),
+        [[0.0], [1.0], [3.0], [7.0], [8.0]],  # collinear
+        grid,  # ties everywhere
+        rng.random((300, 8)),
+        rng.standard_normal((200, 3)) * 1e3 + 1e6,
+    ]
+    # a tree of factor 3: the path 0-2-1 over collinear points 0, 1, 3
+    hand = SpanningTree(n=3, u=np.array([1, 0]), v=np.array([2, 2]), w=np.array([2.0, 3.0]))
+    cases = [(COLLINEAR, hand)]
+    for coords in inputs:
+        p = PointSet(coords)
+        cases.append((p, exact_mst(p)))
+        for seed in (1, 2):  # one hash per scale: sparse spanners, trees far from minimal
+            g = build_spanner(p, SpannerConfig(gamma=3.0, seed=seed, reps=1, projections=1))
+            cases.append((p, kruskal(p.n, (g.u, g.v, g.w))))
+    assert max(_block_loop_kt_factor(p, tree) for p, tree in cases) > 10
+    for screen_all in (False, True):
+        if screen_all:  # screen every merge, however small
+            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
+            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
+        for p, tree in cases:
+            assert kt_factor(p, tree) == _block_loop_kt_factor(p, tree), p.n

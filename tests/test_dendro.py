@@ -117,8 +117,8 @@ def test_single_linkage_is_tree_path_max():
                 if best[y] < 0:
                     best[y] = max(best[x], w)
                     stack.append(y)
-        got = d.ultra_distances([src] * p.n, list(range(p.n)))
-        assert (got == best).all()
+        got = [d.ultra_distance(src, v) for v in range(p.n)]
+        assert got == best.tolist()
 
 
 def test_normalize_single_linkage_collinear():
@@ -153,8 +153,7 @@ def test_normalize_preserves_topology():
         assert s >= 1.0
         assert (scaled.left == d.left).all() and (scaled.right == d.right).all()
         assert scaled.height == pytest.approx((d.height * s).tolist())
-        iu, iv = np.triu_indices(p.n, 1)
-        assert (scaled.ultra_distances(iu, iv) >= cross_distances(p.coords, p.coords)[iu, iv]).all()
+        assert (scaled.ultrametric_matrix() >= cross_distances(p.coords, p.coords)).all()
 
 
 def test_normalize_rejects_zero_heights():
@@ -197,9 +196,7 @@ def test_parse_round_trip_identical():
     assert (back.left == d.left).all()
     assert (back.right == d.right).all()
     assert (back.height == d.height).all()
-    us = rng.integers(0, 40, 200)
-    vs = rng.integers(0, 40, 200)
-    assert (back.ultra_distances(us, vs) == d.ultra_distances(us, vs)).all()
+    assert (back.ultrametric_matrix() == d.ultrametric_matrix()).all()
 
 
 def test_parse_rejects_garbage():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ultrafit import METHODS, PointSet, agglomerate, single_linkage
+from ultrafit import METHODS, PointSet, agglomerate, format_merge_list, from_merge_rows, single_linkage
 from ultrafit.core import cross_distances
+from ultrafit.linkage import _lw_update
 
 COLLINEAR = PointSet([[0.0], [1.0], [3.0]])
 SIMPLEX = PointSet((np.eye(3) / np.sqrt(2)).tolist())
@@ -109,3 +110,72 @@ def test_single_point_all_methods():
         d = agglomerate(p, method)
         assert d.n == 1 and len(d.height) == 0
     assert single_linkage(p).n == 1
+
+
+def _slot_relabel_agglomerate(points, method):
+    """agglomerate as it ran before it handed its merges to build_dendrogram,
+    kept as the oracle: the same nearest-neighbor chain, then a stable sort
+    of the merges by height and a find loop from slot ids to node ids."""
+    n = points.n
+    D = cross_distances(points.coords, points.coords)
+    np.fill_diagonal(D, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    merges = []
+    chain = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        while True:
+            c = chain[-1]
+            row = np.where(active, D[c], np.inf)
+            row[c] = np.inf
+            nn = int(np.argmin(row))
+            if len(chain) >= 2 and nn == chain[-2]:
+                break
+            chain.append(nn)
+        b = chain.pop()
+        a = chain.pop()
+        if b < a:
+            a, b = b, a
+        h = float(D[a, b])
+        merges.append((h, a, b))
+        new = _lw_update(method, D[a], D[b], h, sizes[a], sizes[b], sizes)
+        D[a, :] = new
+        D[:, a] = new
+        D[a, a] = np.inf
+        active[b] = False
+        sizes[a] += sizes[b]
+        D[b, :] = np.inf
+        D[:, b] = np.inf
+    order = sorted(range(n - 1), key=lambda i: merges[i][0])
+    parent = list(range(n))
+    node_of = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    left, right, height = [], [], []
+    for row, mi in enumerate(order):
+        h, a, b = merges[mi]
+        ra, rb = find(a), find(b)
+        left.append(node_of[ra])
+        right.append(node_of[rb])
+        height.append(h)
+        parent[rb] = ra
+        node_of[ra] = n + row
+    return from_merge_rows(n, left, right, height)
+
+
+@pytest.mark.parametrize("method", ["complete", "average", "ward"])
+def test_agglomerate_matches_slot_relabel(method):
+    rng = np.random.default_rng(23)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), -1).reshape(-1, 2)
+    inputs = [rng.random((2, 3)), rng.random((5, 2)), rng.random((40, 3)), rng.random((300, 8)), grid,
+              rng.random((200, 77))]
+    for coords in inputs:
+        p = PointSet(coords)
+        want = format_merge_list(_slot_relabel_agglomerate(p, method))
+        assert format_merge_list(agglomerate(p, method)) == want, p.n
