@@ -111,10 +111,12 @@ def _finite_array(path: str, rows: list[list[float]], row_lines: list[int]) -> n
     return X
 
 
+SPANNER_FLAGS = ("gamma", "seed", "reps", "projections")
+
+
 def _spanner_config(args) -> SpannerConfig:
-    return SpannerConfig(
-        gamma=args.gamma, seed=args.seed, reps=args.reps, projections=args.projections
-    )
+    """SpannerConfig from the spanner flags given; SpannerConfig's defaults otherwise."""
+    return SpannerConfig(**{k: getattr(args, k) for k in SPANNER_FLAGS if getattr(args, k) is not None})
 
 
 def _write(path: str | None, payload: str):
@@ -144,6 +146,10 @@ def cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_CHOICE, f"unknown algorithm {args.algo!r}; choose from {ALGORITHMS}")
     if args.format not in FORMATS:
         raise CliError(EXIT_BAD_CHOICE, f"unknown format {args.format!r}; choose from {FORMATS}")
+    if args.algo != "approx":  # only approx builds a spanner
+        for name in SPANNER_FLAGS:
+            if getattr(args, name) is not None:
+                args.parser.error(f"--{name} applies to --algo approx only")
     points = parse_points_csv(args.input)
     unique, groups = dedupe(points)
     result = run_algorithm(args.algo, unique, _spanner_config(args))
@@ -152,10 +158,11 @@ def cmd_fit(args) -> int:
         "n": points.n,
         "d": points.d,
         "algorithm": args.algo,
-        "gamma": args.gamma,
-        "seed": args.seed,
         "stage_timings_ms": result.timings_ms,
     }
+    for key in ("gamma", "seed"):  # set by the fitters that use them
+        if getattr(result, key) is not None:
+            sidecar[key] = getattr(result, key)
     if unique.n != points.n:
         sidecar["n_unique"] = unique.n
     if args.normalize and unique.n > 1:
@@ -252,8 +259,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _add_spanner(p: argparse.ArgumentParser):
-    p.add_argument("--gamma", type=float, default=2.5, help="target stretch (>= 1)")
-    p.add_argument("--seed", type=int, default=0, help="hash seed")
+    p.add_argument("--gamma", type=float, default=None, help="target stretch (>= 1; default 2.5)")
+    p.add_argument("--seed", type=int, default=None, help="hash seed (default 0)")
     p.add_argument("--reps", type=int, default=None, help="hash repetitions per scale")
     p.add_argument("--projections", type=int, default=None, help="projections per repetition")
 
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--normalize", action="store_true", help="scale output to dominate the metric")
     fit.add_argument("--algo", default="approx", help=f"one of {ALGORITHMS}")
     fit.add_argument("--format", default="merges", help=f"one of {FORMATS}")
-    fit.set_defaults(func=cmd_fit)
+    fit.set_defaults(func=cmd_fit, parser=fit)
 
     cmp_ = sub.add_parser("compare", help="normalized max distortion and timing per algorithm")
     _add_common(cmp_)

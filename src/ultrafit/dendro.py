@@ -7,12 +7,13 @@ any fixed order induce the same ultrametric, so ties follow the input
 edge order.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, cross_distances
+from .core import PointSet, cross_distances, paired_distances
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
@@ -92,6 +93,271 @@ def _candidates(S: np.ndarray, E: float):
     return np.flatnonzero(near | far), np.flatnonzero(cols)
 
 
+_TILE_LEAVES = 127  # cap on the leaves of one tile (see Dendrogram.cross_stats)
+_CHAIN_ADD = 7  # cap on the leaves one chain merge adds to its growing child
+
+
+def _steps(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., size - 1 for each of the given run sizes, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _tile_cap() -> int:
+    """Largest tile size k <= _TILE_LEAVES whose k x k block fits in
+    _CHUNK_ELEMS and none of whose merges is screened: in a subtree of at
+    most k leaves, a merge's smaller child has at most k // 2 leaves and
+    the merge at most (k // 2) * (k - k // 2) cross pairs."""
+    k = min(_TILE_LEAVES, math.isqrt(_CHUNK_ELEMS))
+    while k > 1 and k // 2 >= _SCREEN_MIN_SIDE and (k // 2) * (k - k // 2) >= _SCREEN_MIN_ELEMS:
+        k -= 1
+    return k
+
+
+def _block_extremes(Y, V, rowpos, colpos, seg, merges, flip, E, out):
+    """Closest pair and farthest distance of the merges whose cross pairs
+    are row segments of one block V, written into out = (dmin, first, dmax).
+
+    V[r, c] belongs to the leaves at DFS positions rowpos[r] and
+    colpos[r] + c.  It is their cdist value when E is 0, and otherwise the
+    screening GEMM's approximate square, within E of the square of their
+    cdist value.  seg = (row, c0, c1, local): segment s is V[row[s],
+    c0[s]:c1[s]], cross pairs of merge merges[local[s]]; segments are
+    disjoint and in row-major order.  flip[j] says that the rows of merge
+    j are its right child.
+
+    Per merge, every entry within 2E of the merge's extreme in V is a
+    candidate, so the candidates hold every entry at the exact extreme;
+    for E > 0 paired_distances gives their exact cdist values.  The
+    closest pair is the candidate at the exact minimum that comes first in
+    the merge's left x right row-major order.
+    """
+    dmin, first, dmax = out
+    row, c0, c1, local = seg
+    C = V.shape[1]
+    flat = V.reshape(-1)
+    start = row * C + c0
+    end = row * C + c1
+    bounds = np.column_stack((start, end)).ravel()
+    if bounds[-1] == flat.size:
+        bounds = bounds[:-1]  # reduceat reduces its last index to the end
+    k = len(merges)
+    found = []
+    for red, opp, cmp, sign in (
+        (np.minimum, np.maximum, np.less_equal, 1.0),
+        (np.maximum, np.minimum, np.greater_equal, -1.0),
+    ):
+        seg_ext = red.reduceat(flat, bounds)[::2]
+        bound = np.full(k, sign * np.inf)
+        red.at(bound, local, seg_ext)
+        bound += sign * 2 * E
+        near = np.flatnonzero(cmp(seg_ext, bound[local]))
+        size = end[near] - start[near]
+        # listing a segment's entries costs about four times scanning them
+        if 4 * size.sum() <= flat.size:  # list the segments that may hold the extreme
+            s = np.repeat(near, size)
+            p = np.repeat(start[near], size) + _steps(size)
+        else:  # scan V against each row's loosest bound; other rows get none
+            thr = np.full(len(V), -sign * np.inf)
+            opp.at(thr, row[near], bound[local[near]])
+            p = np.flatnonzero(cmp(V, thr[:, None]))
+            s = np.searchsorted(start, p, side="right") - 1
+            keep = (s >= 0) & (p < end[s])
+            p, s = p[keep], s[keep]
+        keep = cmp(flat[p], bound[local[s]])
+        found.append((local[s[keep]], p[keep]))
+    (lo, plo), (hi, phi) = found
+    p = np.concatenate((plo, phi))
+    r = p // C
+    rp, cp = rowpos[r], colpos[r] + p % C
+    val = flat[p] if E == 0 else paired_distances(Y[rp], Y[cp], min(64, math.isqrt(_CHUNK_ELEMS)))
+    nlo = len(lo)
+    farthest = np.full(k, -np.inf)
+    np.maximum.at(farthest, hi, val[nlo:])
+    dmax[merges] = farthest
+    val, rp, cp = val[:nlo], rp[:nlo], cp[:nlo]
+    closest = np.full(k, np.inf)
+    np.minimum.at(closest, lo, val)
+    dmin[merges] = closest
+    swap = flip[lo]
+    left = np.where(swap, cp, rp)
+    right = np.where(swap, rp, cp)
+    tie = np.flatnonzero(val == closest[lo])
+    tie = tie[np.lexsort((right[tie], left[tie], lo[tie]))]
+    head = tie[np.diff(lo[tie], prepend=-1) != 0]
+    first[merges[lo[head]]] = np.column_stack((left[head], right[head]))
+
+
+def _merge_extremes(Y, a0, a1, b0, b1, buf):
+    """Minimum, its first pair (DFS positions) and maximum over the cross
+    pairs of one merge, in the blocks of _blocks; screened when both
+    children have at least _SCREEN_MIN_SIDE rows and the merge at least
+    _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM output."""
+    screen = None
+    if min(a1 - a0, b1 - b0) >= _SCREEN_MIN_SIDE and (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
+        screen = _screen_factors(Y[a0:b1], a1 - a0)
+    near, far, at = np.inf, -np.inf, (a0, b0)
+    for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+        if screen is None:
+            bmin, r, c, bmax = _extremes(cross_distances(Y[ra:re], Y[cb:ce]))
+            r, c = ra + r, cb + c
+        else:
+            L, R, E = screen
+            A, B = L[ra - a0 : re - a0], R[cb - b0 : ce - b0]
+            out = buf[: len(A) * len(B)]
+            # the longer side runs along the rows of the GEMM output,
+            # where the row reductions of _candidates are fast
+            if len(A) <= len(B):
+                rows, cols = _candidates(np.matmul(A, B.T, out=out.reshape(len(A), len(B))), E)
+            else:
+                cols, rows = _candidates(np.matmul(B, A.T, out=out.reshape(len(B), len(A))), E)
+            rows += ra
+            cols += cb
+            bmin, r, c, bmax = _extremes(cross_distances(Y[rows], Y[cols]))
+            r, c = rows[r], cols[c]
+        if bmin < near:
+            near, at = bmin, (r, c)
+        far = max(far, bmax)
+    return near, at, far
+
+
+def _tile_pass(Y, spans, children, out) -> np.ndarray:
+    """Reduce every merge inside a tile, a maximal subtree of at most
+    K = _tile_cap() leaves; returns the mask of the merges done.
+
+    A tile's leaves are one contiguous row range.  Tiles next to each
+    other in DFS order share a window of at most K rows, and one cdist
+    block of a window against itself holds every cross pair of its
+    merges: merge (a0, a1, b0, b1) reads rows a0..a1-1, columns
+    b0..b1-1.  Windows are stacked into blocks of at most _CHUNK_ELEMS
+    entries, each reduced at once by _block_extremes."""
+    K = _tile_cap()
+    a0, a1, b0, b1 = spans.T
+    small = b1 - a0 <= K
+    if K < 2 or not small.any():
+        return np.zeros(len(spans), dtype=bool)
+    root = small.copy()
+    kids = children[small]
+    root[kids[kids >= 0]] = False  # a small merge under a small merge is not a tile root
+    # tiles are disjoint, so sorting starts and ends keeps them paired
+    starts, ends = [], []
+    for lo, hi in zip(np.sort(a0[root]).tolist(), np.sort(b1[root]).tolist()):
+        if starts and hi - starts[-1] <= K:
+            ends[-1] = hi
+        else:
+            starts.append(lo)
+            ends.append(hi)
+    band = _CHUNK_ELEMS // K  # rows of one stacked block
+    base = []  # stacked row of each window's first leaf
+    cuts = [0]  # first window of each block
+    pos = 0
+    for w, size in enumerate(np.subtract(ends, starts).tolist()):
+        if pos + size > band:
+            cuts.append(w)
+            pos = 0
+        base.append((len(cuts) - 1) * band + pos)
+        pos += size
+    cuts.append(len(starts))
+    w0, w1, base = np.array(starts), np.array(ends), np.array(base)
+    sizes = w1 - w0
+    step = _steps(sizes)
+    rowpos = np.zeros(len(cuts) * band, dtype=np.int64)
+    colpos = np.zeros_like(rowpos)
+    rowpos[np.repeat(base, sizes) + step] = np.repeat(w0, sizes) + step
+    colpos[np.repeat(base, sizes) + step] = np.repeat(w0, sizes)
+    # one segment per left-child row of each tile merge
+    M = np.flatnonzero(small)
+    win = np.searchsorted(w0, a0[M], side="right") - 1
+    na = a1[M] - a0[M]
+    srow = np.repeat(base[win] + a0[M] - w0[win], na) + _steps(na)
+    sc0 = np.repeat(b0[M] - w0[win], na)
+    order = np.argsort(srow * K + sc0)
+    srow, sc0 = srow[order], sc0[order]
+    sc1 = np.repeat(b1[M] - w0[win], na)[order]
+    smerge = np.repeat(M, na)[order]
+    bseg = np.searchsorted(srow, np.arange(len(cuts)) * band)
+    V = np.zeros((band, K))
+    for b in range(len(cuts) - 1):
+        for w in range(cuts[b], cuts[b + 1]):
+            r, lo, hi = int(base[w]) - b * band, int(w0[w]), int(w1[w])
+            V[r : r + hi - lo, : hi - lo] = cross_distances(Y[lo:hi], Y[lo:hi])
+        s, e = bseg[b], bseg[b + 1]
+        merges, local = np.unique(smerge[s:e], return_inverse=True)
+        rows = slice(b * band, (b + 1) * band)
+        seg = (srow[s:e] - b * band, sc0[s:e], sc1[s:e], local)
+        _block_extremes(Y, V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool), 0.0, out)
+    return small
+
+
+def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
+    """Reduce every chain merge; returns the mask of the merges done.
+
+    A chain merge adds at most _CHAIN_ADD leaves (its smaller child, on a
+    tie the right one) to its growing child; a chain is a run of chain
+    merges each growing the previous one.  Its cross pairs are the added
+    rows against the growing child's contiguous span, so a run of a
+    chain's merges shares one block: the added rows of the run against
+    the span of the last merge's growing child, each merge reading its
+    rows and the columns of its own growing child.  Runs are cut so that
+    a block stays within _CHUNK_ELEMS entries; a block of at least
+    _SCREEN_MIN_ELEMS entries is screened as in Dendrogram.cross_stats."""
+    m = len(spans)
+    a0, a1, b0, b1 = spans.T
+    na, nb = a1 - a0, b1 - b0
+    add_left = na < nb
+    s0 = np.where(add_left, a0, b0)
+    s1 = np.where(add_left, a1, b1)
+    g0 = np.where(add_left, b0, a0)
+    g1 = np.where(add_left, b1, a1)
+    cap = min(_CHAIN_ADD, _SCREEN_MIN_SIDE - 1)
+    chain = ~done & (s1 - s0 <= cap) & ((s1 - s0) * (g1 - g0) <= _CHUNK_ELEMS)
+    if not chain.any():
+        return chain
+    grow = np.where(add_left, children[:, 1], children[:, 0])
+    bottom = np.where((grow >= 0) & chain[grow], grow, np.arange(m))
+    while True:  # pointer jumping to each chain's first merge
+        nxt = bottom[bottom]
+        if (nxt == bottom).all():
+            break
+        bottom = nxt
+    M = np.flatnonzero(chain)
+    M = M[np.lexsort((M, bottom[M]))]
+    add = (s1 - s0)[M].tolist()
+    width = (g1 - g0)[M].tolist()
+    head = bottom[M].tolist()
+    cuts = []
+    rows = 0
+    for j in range(len(M)):
+        if not cuts or head[j] != head[j - 1] or (rows + add[j]) * width[j] > _CHUNK_ELEMS:
+            cuts.append(j)
+            rows = 0
+        rows += add[j]
+    cuts.append(len(M))
+    buf = np.empty(_CHUNK_ELEMS)
+    for j, k in zip(cuts[:-1], cuts[1:]):
+        merges = M[j:k]
+        sz = s1[merges] - s0[merges]
+        R = int(sz.sum())
+        lo, hi = int(g0[merges[-1]]), int(g1[merges[-1]])
+        rowpos = np.repeat(s0[merges], sz) + _steps(sz)
+        seg = (
+            np.arange(R),
+            np.repeat(g0[merges] - lo, sz),
+            np.repeat(g1[merges] - lo, sz),
+            np.repeat(np.arange(len(merges)), sz),
+        )
+        A = Y[rowpos]
+        screen = None
+        if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
+            screen = _screen_factors(np.concatenate((A, Y[lo:hi])), R)
+        if screen is None:
+            V, E = cross_distances(A, Y[lo:hi]), 0.0
+        else:
+            L, Rt, E = screen
+            V = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo))
+        _block_extremes(Y, V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], E, out)
+    return chain
+
+
 @dataclass
 class Dendrogram:
     n: int
@@ -109,64 +375,64 @@ class Dendrogram:
 
     # -- traversal ---------------------------------------------------------
 
-    def _children(self, node: int) -> tuple[int, int]:
-        i = node - self.n
-        return int(self.left[i]), int(self.right[i])
-
     def leaf_spans(self):
-        """DFS leaf order plus the contiguous span [lo, hi) of every node."""
+        """DFS leaf order plus the contiguous span [lo, hi) of every node.
+
+        Parents come after their children in merge order, so one pass in
+        reverse merge order starts each left child where its parent starts
+        and each right child after the left child's leaves."""
         if self._spans is None:
             n = self.n
-            total = 2 * n - 1
-            lo = np.zeros(total, dtype=np.int64)
-            hi = np.zeros(total, dtype=np.int64)
+            size = [1] * n + self.size.tolist()
+            lo = [0] * (2 * n - 1)
+            for node, l, r in zip(range(2 * n - 2, n - 1, -1), self.left.tolist()[::-1], self.right.tolist()[::-1]):
+                lo[l] = lo[node]
+                lo[r] = lo[node] + size[l]
+            lo = np.array(lo, dtype=np.int64)
+            hi = lo + np.array(size, dtype=np.int64)
             order = np.empty(n, dtype=np.int64)
-            pos = 0
-            stack = [(self.root, False)]
-            while stack:
-                node, done = stack.pop()
-                if node < n:
-                    order[pos] = node
-                    lo[node] = pos
-                    hi[node] = pos + 1
-                    pos += 1
-                    continue
-                if done:
-                    l, r = self._children(node)
-                    lo[node] = lo[l]
-                    hi[node] = hi[r]
-                    continue
-                l, r = self._children(node)
-                stack.append((node, True))
-                stack.append((r, False))
-                stack.append((l, False))
+            order[lo[:n]] = np.arange(n)
             object.__setattr__(self, "_spans", (order, lo, hi))
         return self._spans
 
     def _dfs_layout(self, points: PointSet):
         """Coordinates in DFS leaf order, so both children of a node are
-        contiguous row slices, and per merge its spans (a0, a1, b0, b1):
-        left child rows [a0, a1), right child rows [b0, b1), b0 == a1."""
+        contiguous row slices, and per merge its spans (a0, a1, b0, b1) as
+        an (m, 4) array: left child rows [a0, a1), right child rows
+        [b0, b1), b0 == a1."""
         if points.n != self.n:
             raise ValueError("dendrogram and point set sizes differ")
         order, lo, hi = self.leaf_spans()
-        lo, hi = lo.tolist(), hi.tolist()
-        spans = [(lo[l], hi[l], lo[r], hi[r]) for l, r in zip(self.left.tolist(), self.right.tolist())]
+        spans = np.column_stack((lo[self.left], hi[self.left], lo[self.right], hi[self.right]))
         return points.coords[order], spans
 
     def cross_stats(self, points: PointSet) -> CrossStats:
         """Closest pair and farthest distance over each merge's cross pairs.
 
-        Every reported distance is a cdist value: the left child's rows
-        meet the right child's in the _CHUNK_ELEMS blocks of _blocks.  A
-        small node scans each block with cdist.  A large one is screened:
-        one GEMM per block ranks its entries by approximate squared
-        distance (_screen_factors), and cdist recomputes only the rows and
-        columns holding entries within 2E of the block's approximate
-        minimum or maximum, which contain every entry at the exact
-        extremes, so the first closest pair in row-major order is found as
-        in a full scan.  The result depends only on topology and points,
-        so it is memoized per PointSet object.
+        Every reported distance is a cdist value, and the closest pair is
+        the first one at the minimum in the merge's left x right row-major
+        order.  In the DFS leaf layout every subtree is a contiguous row
+        range, so most merges share a distance block with others:
+
+        - tiles (_tile_pass): a maximal subtree of at most _tile_cap()
+          leaves gets one cdist block over its rows, from which all of its
+          merges are read;
+        - chains (_chain_pass): a run of merges that each add at most
+          _CHAIN_ADD leaves to one growing cluster gets blocks of the added
+          rows against the growing cluster's span.  The added leaves may
+          be either child, so each merge keeps its own left x right order.
+          Larger chain blocks are screened like a large merge (below).
+
+        Every other merge is reduced on its own, in the _CHUNK_ELEMS blocks
+        of _blocks.  A small one scans each block with cdist.  A large one
+        is screened: one GEMM per block ranks its entries by approximate
+        squared distance (_screen_factors), and cdist recomputes only the
+        rows and columns holding entries within 2E of the block's
+        approximate minimum or maximum, which contain every entry at the
+        exact extremes, so the result equals a full scan's.  No cdist or
+        GEMM block has more than _CHUNK_ELEMS entries.  The result
+        depends only on topology and points, so it is memoized per
+        PointSet object.
         """
         if self._cross is not None and self._cross[0] is points:
             return self._cross[1]
@@ -175,35 +441,14 @@ class Dendrogram:
         dmin = np.empty(m)
         dmax = np.empty(m)
         first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
+        out = (dmin, first, dmax)
+        children = np.column_stack((self.left, self.right)) - self.n  # merge rows; < 0 for leaves
+        children[children < 0] = -1
+        done = _tile_pass(Y, spans, children, out)
+        done |= _chain_pass(Y, spans, children, done, out)
         buf = np.empty(_CHUNK_ELEMS)  # GEMM output of screened blocks
-        for i, (a0, a1, b0, b1) in enumerate(spans):
-            screen = None
-            if min(a1 - a0, b1 - b0) >= _SCREEN_MIN_SIDE and (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
-                screen = _screen_factors(Y[a0:b1], a1 - a0)
-            near, far, at = np.inf, -np.inf, (a0, b0)
-            for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
-                if screen is None:
-                    bmin, r, c, bmax = _extremes(cross_distances(Y[ra:re], Y[cb:ce]))
-                    r, c = ra + r, cb + c
-                else:
-                    L, R, E = screen
-                    A, B = L[ra - a0 : re - a0], R[cb - b0 : ce - b0]
-                    out = buf[: len(A) * len(B)]
-                    # the longer side runs along the rows of the GEMM output,
-                    # where the row reductions of _candidates are fast
-                    if len(A) <= len(B):
-                        rows, cols = _candidates(np.matmul(A, B.T, out=out.reshape(len(A), len(B))), E)
-                    else:
-                        cols, rows = _candidates(np.matmul(B, A.T, out=out.reshape(len(B), len(A))), E)
-                    rows += ra
-                    cols += cb
-                    bmin, r, c, bmax = _extremes(cross_distances(Y[rows], Y[cols]))
-                    r, c = rows[r], cols[c]
-                if bmin < near:
-                    near, at = bmin, (r, c)
-                far = max(far, bmax)
-            dmin[i], dmax[i] = near, far
-            first[i] = at
+        for i in np.flatnonzero(~done).tolist():
+            dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
         object.__setattr__(self, "_cross", (points, stats))
@@ -216,7 +461,7 @@ class Dendrogram:
         Y, spans = self._dfs_layout(points)
         out = np.empty(len(spans))
         with np.errstate(divide="ignore"):
-            for i, (a0, a1, b0, b1) in enumerate(spans):
+            for i, (a0, a1, b0, b1) in enumerate(spans.tolist()):
                 inv = 0.0
                 for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
                     block = cross_distances(Y[ra:re], Y[cb:ce])

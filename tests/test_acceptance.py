@@ -144,6 +144,7 @@ def _load_dataset(name):
     return pts
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("dataset", list(_TABLE))
 def test_criterion_5_reference_distortions(dataset):
     from ultrafit import dedupe
@@ -197,6 +198,7 @@ def _describe(times, res=None):
     return text
 
 
+@pytest.mark.slow
 def test_criterion_6_scaling_and_speedup():
     rng = np.random.default_rng(606)
     t_all = time.perf_counter()
@@ -257,7 +259,7 @@ def test_criterion_7_byte_identical_outputs(tmp_path):
     sidecars = []
     for run, threads in enumerate(("1", "2", "4")):
         out = tmp_path / f"run{run}.txt"
-        env = dict(os.environ, ULTRAFIT_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "ultrafit", "fit", "--input", str(csv),
              "--algo", "approx", "--gamma", "2.0", "--seed", "7",
@@ -271,4 +273,4 @@ def test_criterion_7_byte_identical_outputs(tmp_path):
         sidecars.append(json.dumps(side, sort_keys=True))
     assert artifacts[0] == artifacts[1] == artifacts[2]
     assert sidecars[0] == sidecars[1] == sidecars[2]
-    _report("7 determinism", "3 runs across ULTRAFIT_THREADS=1/2/4 byte-identical")
+    _report("7 determinism", "3 runs across OPENBLAS/OMP/MKL_NUM_THREADS=1/2/4 byte-identical")

@@ -127,14 +127,16 @@ def test_fit_normalize_adds_scale_and_distortion(tmp_path):
 
 
 def test_fit_determinism_across_runs_and_threads(tmp_path):
+    # --normalize runs the evaluator, whose screened blocks (300 points have
+    # merges above the screening size) rank entries with BLAS GEMMs
     rng = np.random.default_rng(0)
-    csv = write(tmp_path, "r.csv", "\n".join(",".join(map(str, row)) for row in rng.random((40, 3))))
+    csv = write(tmp_path, "r.csv", "\n".join(",".join(map(str, row)) for row in rng.random((300, 3))))
     blobs = []
     for threads in ("1", "2", "4"):
         out = str(tmp_path / f"out{threads}.txt")
         proc = run_cli(
-            ["fit", "--input", csv, "--algo", "approx", "--seed", "7", "--out", out],
-            env={"ULTRAFIT_THREADS": threads},
+            ["fit", "--input", csv, "--algo", "approx", "--seed", "7", "--normalize", "--out", out],
+            env={var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(open(out, "rb").read())
@@ -246,6 +248,35 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
     assert main(evaluate) == 0  # the same call without the flag parses
+
+
+def test_spanner_flags_on_a_fit_without_spanner_are_usage_errors(tmp_path, capsys):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    for algo in ("acc", "exact", "single", "average"):
+        for flag, value in (("--gamma", "9"), ("--seed", "1"), ("--reps", "2"), ("--projections", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main(["fit", "--input", csv, "--algo", algo, flag, value])
+            assert exc.value.code == 2, (algo, flag)
+            assert f"{flag} applies to --algo approx only" in capsys.readouterr().err
+        assert main(["fit", "--input", csv, "--algo", algo]) == 0
+    # approx reads them, and compare passes them to its approx row
+    assert main(["fit", "--input", csv, "--algo", "approx", "--gamma", "9", "--seed", "1"]) == 0
+    assert main(["compare", "--input", csv, "--algo", "approx,average", "--gamma", "9", "--seed", "1"]) == 0
+
+
+def test_fit_sidecar_names_gamma_and_seed_only_when_the_fit_used_them(tmp_path):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+
+    def spanner_keys(*argv):
+        out = str(tmp_path / "t.txt")
+        assert main(["fit", "--input", csv, *argv, "--out", out]) == 0
+        side = json.load(open(out + ".json"))
+        return {k: side[k] for k in ("gamma", "seed") if k in side}
+
+    assert spanner_keys("--algo", "approx") == {"gamma": 2.5, "seed": 0}
+    assert spanner_keys("--algo", "approx", "--gamma", "3", "--seed", "7") == {"gamma": 3.0, "seed": 7}
+    for algo in ("acc", "exact", "single", "average", "ward"):
+        assert spanner_keys("--algo", algo) == {}
 
 
 def test_console_entry_point_runs(tmp_path):

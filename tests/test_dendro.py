@@ -390,3 +390,174 @@ def test_screen_falls_back_near_overflow(monkeypatch):
     assert 20 * 20 in entries
     assert np.isfinite(stats.dmax).all()
     _dense_check(p, d, stats)
+
+
+# -- the batched kernel against the per-merge oracle -------------------------
+
+
+def _oracle(d, p):
+    """The per-merge kernel: every merge reduced on its own through the
+    _blocks blocks of _merge_extremes, screened when it is large."""
+    Y, spans = d._dfs_layout(p)
+    m = len(spans)
+    dmin = np.empty(m)
+    dmax = np.empty(m)
+    first = np.empty((m, 2), dtype=np.int64)
+    buf = np.empty(dendro_mod._CHUNK_ELEMS)
+    for i, span in enumerate(spans.tolist()):
+        dmin[i], first[i], dmax[i] = dendro_mod._merge_extremes(Y, *span, buf)
+    return dendro_mod.CrossStats(dmin, d.leaf_spans()[0][first], dmax)
+
+
+def _assert_bitwise(got, want):
+    for name, g, w in zip(("dmin", "pair", "dmax"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def _grown(points, steps):
+    """One cluster grown from leaf 0: step (k, side) pre-merges the next k
+    leaves into a comb and adds it to the cluster as the side child.
+    Heights ascend with the merge rows."""
+    n = len(points)
+    left, right = [], []
+    node, cur, nxt = n, 0, 1
+    for k, side in steps:
+        sub = nxt
+        for leaf in range(nxt + 1, nxt + k):
+            left.append(sub)
+            right.append(leaf)
+            sub, node = node, node + 1
+        nxt += k
+        left.append(sub if side == "left" else cur)
+        right.append(cur if side == "left" else sub)
+        cur, node = node, node + 1
+    assert nxt == n
+    p = PointSet(np.asarray(points, dtype=np.float64).reshape(n, -1))
+    return p, from_merge_rows(n, left, right, np.arange(1.0, n))
+
+
+def _chain_left():
+    # one leaf per merge, added as the left child: a tile, then a chain of 172 merges
+    return _grown(np.random.default_rng(50).random((300, 3)), [(1, "left")] * 299)
+
+
+def _chain_right():
+    return _grown(np.random.default_rng(51).random((300, 3)), [(1, "right")] * 299)
+
+
+def _chain_mixed():
+    # 1 to 7 leaves per merge, on either side
+    rng = np.random.default_rng(52)
+    steps, total = [], 1
+    while total < 400:
+        k = min(int(rng.integers(1, 8)), 400 - total)
+        steps.append((k, "left" if rng.random() < 0.5 else "right"))
+        total += k
+    return _grown(rng.random((400, 4)), steps)
+
+
+def _collinear(side):
+    # equally spaced points on a line, evens first, then the odd points in
+    # pairs, the right one first: each lands between cluster points at
+    # distance 1, so the minimum ties across rows and columns, and the first
+    # tied pair of the left x right order is not the first in the other order
+    odds = np.arange(1.0, 301.0, 2.0).reshape(-1, 2)[:, ::-1].ravel()
+    x = np.concatenate((np.arange(0.0, 301.0, 2.0), odds))
+    return _grown(x, [(1, side)] * 150 + [(2, side)] * 75)
+
+
+def _collinear_left():
+    return _collinear("left")
+
+
+def _collinear_right():
+    return _collinear("right")
+
+
+def _spy_blocks(monkeypatch):
+    """Sizes of every cdist block (cross_distances and paired_distances) and
+    every GEMM output."""
+    from ultrafit import core as core_mod
+
+    sizes = []
+    cdist, matmul = core_mod.cdist, np.matmul
+
+    def cdist_spy(a, b, *args, **kw):
+        out = cdist(a, b, *args, **kw)
+        sizes.append(out.size)
+        return out
+
+    def matmul_spy(a, b, *args, **kw):
+        out = matmul(a, b, *args, **kw)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(core_mod, "cdist", cdist_spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    return sizes
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 1 << 12, 5], ids=["default-chunk", "chunk4096", "chunk5"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _chain_left, _chain_right, _chain_mixed, _collinear_left, _collinear_right,
+        _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _high_d,
+    ],
+    ids=lambda f: f.__name__[1:],
+)
+def test_batched_cross_stats_match_oracle(make, chunk, monkeypatch):
+    p, d = make()
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
+    want = _oracle(d, p)
+    sizes = _spy_blocks(monkeypatch)
+    got = replace(d, _cross=None).cross_stats(p)
+    assert 0 < max(sizes) <= chunk  # no cdist or GEMM block beyond the cap
+    _assert_bitwise(got, want)
+    _dense_check(p, d, got)
+
+
+def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
+    # the fixtures above exercise tiles, exact and screened chain blocks, and
+    # chains whose added leaves are the left and the right child
+    kinds = []
+    block_extremes = dendro_mod._block_extremes
+
+    def spy(Y, V, rowpos, colpos, seg, merges, flip, E, out):
+        kinds.append((E > 0, bool(flip.any()), bool((~flip).any())))
+        return block_extremes(Y, V, rowpos, colpos, seg, merges, flip, E, out)
+
+    monkeypatch.setattr(dendro_mod, "_block_extremes", spy)
+    for make in (_chain_left, _chain_right, _collinear_left):
+        p, d = make()
+        kinds.clear()
+        stats = d.cross_stats(p)
+        assert len(kinds) >= 2  # a tile block, then chain blocks
+        assert any(screened for screened, _, _ in kinds)
+        assert any(not screened for screened, _, _ in kinds)
+        _assert_bitwise(stats, _oracle(d, p))
+    p, d = _chain_right()
+    kinds.clear()
+    d.cross_stats(PointSet(p.coords))
+    assert any(flipped for _, flipped, _ in kinds)
+
+
+def _blobs(n, d, seed):
+    """Ten Gaussian blobs, the shape of the benchmark's blob workload."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((10, d)) * 6.0
+    return centers[rng.integers(0, 10, n)] + rng.standard_normal((n, d)) * 0.35
+
+
+@pytest.mark.slow
+def test_batched_cross_stats_match_oracle_at_benchmark_shapes():
+    from ultrafit import run_algorithm
+
+    blobs = PointSet(_blobs(3000, 16, 61))
+    highd = dedupe(PointSet(np.random.default_rng(62).random((600, 77))))[0]
+    cases = [(blobs, a) for a in ("approx", "acc", "single")]
+    cases += [(highd, a) for a in ("approx", "acc", "exact", "single", "average", "ward")]
+    for p, algo in cases:
+        d = run_algorithm(algo, p).dendrogram
+        _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
