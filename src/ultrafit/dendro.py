@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, cross_distances, paired_distances
+from .core import PointSet, cross_distances
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
@@ -113,26 +113,33 @@ def _tile_cap() -> int:
     return k
 
 
-def _block_extremes(Y, V, rowpos, colpos, seg, merges, flip, E, out):
+def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
     """Closest pair and farthest distance of the merges whose cross pairs
     are row segments of one block V, written into out = (dmin, first, dmax).
 
     V[r, c] belongs to the leaves at DFS positions rowpos[r] and
-    colpos[r] + c.  It is their cdist value when E is 0, and otherwise the
-    screening GEMM's approximate square, within E of the square of their
-    cdist value.  seg = (row, c0, c1, local): segment s is V[row[s],
-    c0[s]:c1[s]], cross pairs of merge merges[local[s]]; segments are
-    disjoint and in row-major order.  flip[j] says that the rows of merge
-    j are its right child.
+    colpos[r] + c.  It is their cdist value when screen is None; with
+    screen = (E, A, B) it is the screening GEMM's approximate square,
+    within E of the square of cdist(A, B)[r, c].  seg = (row, c0, c1,
+    local): segment s is V[row[s], c0[s]:c1[s]], cross pairs of merge
+    merges[local[s]]; segments are disjoint and in row-major order.
+    Entries outside every segment are ignored.  flip[j] says that the rows
+    of merge j are its right child.
 
     Per merge, every entry within 2E of the merge's extreme in V is a
-    candidate, so the candidates hold every entry at the exact extreme;
-    for E > 0 paired_distances gives their exact cdist values.  The
-    closest pair is the candidate at the exact minimum that comes first in
-    the merge's left x right row-major order.
+    candidate, so the candidates hold every entry at the exact extreme.
+    With row_segments, segment r is on row r (chain blocks): each row is
+    scanned against its segment's bound.  Otherwise (tile blocks, whose
+    rows hold the nested segments of many merges) only the segments whose
+    own extreme is within 2E are listed.  A screened block takes the
+    candidates' exact values from one cdist block over their rows and
+    columns, so no array grows beyond a few times the block.  The closest
+    pair is the candidate at the exact minimum that comes first in the
+    merge's left x right row-major order.
     """
     dmin, first, dmax = out
     row, c0, c1, local = seg
+    E = 0.0 if screen is None else screen[0]
     C = V.shape[1]
     flat = V.reshape(-1)
     start = row * C + c0
@@ -142,39 +149,41 @@ def _block_extremes(Y, V, rowpos, colpos, seg, merges, flip, E, out):
         bounds = bounds[:-1]  # reduceat reduces its last index to the end
     k = len(merges)
     found = []
-    for red, opp, cmp, sign in (
-        (np.minimum, np.maximum, np.less_equal, 1.0),
-        (np.maximum, np.minimum, np.greater_equal, -1.0),
-    ):
+    for red, cmp, sign in ((np.minimum, np.less_equal, 1.0), (np.maximum, np.greater_equal, -1.0)):
         seg_ext = red.reduceat(flat, bounds)[::2]
         bound = np.full(k, sign * np.inf)
         red.at(bound, local, seg_ext)
         bound += sign * 2 * E
-        near = np.flatnonzero(cmp(seg_ext, bound[local]))
-        size = end[near] - start[near]
-        # listing a segment's entries costs about four times scanning them
-        if 4 * size.sum() <= flat.size:  # list the segments that may hold the extreme
+        near = np.flatnonzero(cmp(seg_ext, bound[local]))  # segments that may hold it
+        if row_segments:  # scan each row against its segment's bound
+            thr = np.full(len(V), -sign * np.inf)
+            thr[near] = bound[local[near]]
+            p = np.flatnonzero(cmp(V, thr[:, None]))
+            s = p // C
+            inside = (p >= start[s]) & (p < end[s])
+            p, s = p[inside], s[inside]
+        else:  # list the entries of the near segments
+            size = end[near] - start[near]
             s = np.repeat(near, size)
             p = np.repeat(start[near], size) + _steps(size)
-        else:  # scan V against each row's loosest bound; other rows get none
-            thr = np.full(len(V), -sign * np.inf)
-            opp.at(thr, row[near], bound[local[near]])
-            p = np.flatnonzero(cmp(V, thr[:, None]))
-            s = np.searchsorted(start, p, side="right") - 1
-            keep = (s >= 0) & (p < end[s])
-            p, s = p[keep], s[keep]
         keep = cmp(flat[p], bound[local[s]])
         found.append((local[s[keep]], p[keep]))
     (lo, plo), (hi, phi) = found
     p = np.concatenate((plo, phi))
-    r = p // C
-    rp, cp = rowpos[r], colpos[r] + p % C
-    val = flat[p] if E == 0 else paired_distances(Y[rp], Y[cp], min(64, math.isqrt(_CHUNK_ELEMS)))
+    r, c = np.divmod(p, C)
+    if screen is None:
+        val = flat[p]
+    else:  # one cdist block over the candidates' rows and columns
+        _, A, B = screen
+        ur, ri = np.unique(r, return_inverse=True)
+        uc, ci = np.unique(c, return_inverse=True)
+        val = cross_distances(A[ur], B[uc])[ri, ci]
     nlo = len(lo)
     farthest = np.full(k, -np.inf)
     np.maximum.at(farthest, hi, val[nlo:])
     dmax[merges] = farthest
-    val, rp, cp = val[:nlo], rp[:nlo], cp[:nlo]
+    val, r, c = val[:nlo], r[:nlo], c[:nlo]
+    rp, cp = rowpos[r], colpos[r] + c
     closest = np.full(k, np.inf)
     np.minimum.at(closest, lo, val)
     dmin[merges] = closest
@@ -284,7 +293,7 @@ def _tile_pass(Y, spans, children, out) -> np.ndarray:
         merges, local = np.unique(smerge[s:e], return_inverse=True)
         rows = slice(b * band, (b + 1) * band)
         seg = (srow[s:e] - b * band, sc0[s:e], sc1[s:e], local)
-        _block_extremes(Y, V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool), 0.0, out)
+        _block_extremes(V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool), out)
     return small
 
 
@@ -345,16 +354,16 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
             np.repeat(g1[merges] - lo, sz),
             np.repeat(np.arange(len(merges)), sz),
         )
-        A = Y[rowpos]
-        screen = None
+        A, B = Y[rowpos], Y[lo:hi]
+        factors = None
         if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
-            screen = _screen_factors(np.concatenate((A, Y[lo:hi])), R)
-        if screen is None:
-            V, E = cross_distances(A, Y[lo:hi]), 0.0
+            factors = _screen_factors(np.concatenate((A, B)), R)
+        if factors is None:
+            V, screen = cross_distances(A, B), None
         else:
-            L, Rt, E = screen
-            V = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo))
-        _block_extremes(Y, V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], E, out)
+            L, Rt, E = factors
+            V, screen = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
+        _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True)
     return chain
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -475,6 +476,14 @@ def _collinear_right():
     return _collinear("right")
 
 
+def _one_hot():
+    # every pairwise distance is sqrt(2) in 300 dimensions: single linkage
+    # adds one leaf per merge, and every entry of a screened chain block
+    # is a candidate for both extremes
+    p = PointSet(np.eye(300))
+    return p, single_linkage(p)
+
+
 def _spy_blocks(monkeypatch):
     """Sizes of every cdist block (cross_distances and paired_distances) and
     every GEMM output."""
@@ -502,7 +511,7 @@ def _spy_blocks(monkeypatch):
 @pytest.mark.parametrize(
     "make",
     [
-        _chain_left, _chain_right, _chain_mixed, _collinear_left, _collinear_right,
+        _chain_left, _chain_right, _chain_mixed, _collinear_left, _collinear_right, _one_hot,
         _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _high_d,
     ],
     ids=lambda f: f.__name__[1:],
@@ -524,9 +533,9 @@ def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
     kinds = []
     block_extremes = dendro_mod._block_extremes
 
-    def spy(Y, V, rowpos, colpos, seg, merges, flip, E, out):
-        kinds.append((E > 0, bool(flip.any()), bool((~flip).any())))
-        return block_extremes(Y, V, rowpos, colpos, seg, merges, flip, E, out)
+    def spy(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
+        kinds.append((screen is not None, bool(flip.any()), bool((~flip).any())))
+        return block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen, row_segments)
 
     monkeypatch.setattr(dendro_mod, "_block_extremes", spy)
     for make in (_chain_left, _chain_right, _collinear_left):
@@ -541,6 +550,23 @@ def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
     kinds.clear()
     d.cross_stats(PointSet(p.coords))
     assert any(flipped for _, flipped, _ in kinds)
+
+
+def test_tied_high_d_chain_memory_stays_within_blocks():
+    # the one-hot caterpillar's screened chain blocks make all of their
+    # ~37k entries candidates for both extremes.  Gathering both points of
+    # each candidate pair would take ~350 MB; confirming them from a cdist
+    # block over the candidates' rows and columns stays within a few times
+    # the block and the coordinates
+    p, d = _one_hot()
+    tracemalloc.start()
+    try:
+        stats = replace(d, _cross=None).cross_stats(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * dendro_mod._CHUNK_ELEMS * 8 + 4 * p.coords.nbytes
+    assert (stats.dmin == np.sqrt(2.0)).all() and (stats.dmax == np.sqrt(2.0)).all()
 
 
 def _blobs(n, d, seed):

@@ -218,7 +218,7 @@ def test_normalize_then_distortion_scans_once(monkeypatch):
     d = single_linkage(p)
     scaled, _ = normalize(d, p)
     one_scan = len(calls)
-    assert one_scan >= 1  # 50 points: one tile, so one cdist block
+    assert one_scan == 1  # 50 points: one tile, so one cdist block
     rep = distortion(p, scaled)
     again = distortion(p, d, normalize_first=True)
     assert len(calls) == one_scan  # both reuse the first scan
