@@ -95,6 +95,10 @@ def _candidates(S: np.ndarray, E: float):
 
 _TILE_LEAVES = 127  # cap on the leaves of one tile (see Dendrogram.cross_stats)
 _CHAIN_ADD = 7  # cap on the leaves one chain merge adds to its growing child
+# A chain block in which more than this share of the entries are candidates
+# is handed back to _merge_extremes, so candidate arrays stay small when
+# distances tie (one-hot rows, say).
+_TIED_SHARE = 1 / 8
 
 
 def _steps(sizes: np.ndarray) -> np.ndarray:
@@ -124,12 +128,15 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
     local): segment s is V[row[s], c0[s]:c1[s]], cross pairs of merge
     merges[local[s]]; segments are disjoint and in row-major order.
     Entries outside every segment are ignored.  flip[j] says that the rows
-    of merge j are its right child.
+    of merge j are its right child.  Returns whether the merges were
+    reduced.
 
     Per merge, every entry within 2E of the merge's extreme in V is a
     candidate, so the candidates hold every entry at the exact extreme.
     With row_segments, segment r is on row r (chain blocks): each row is
-    scanned against its segment's bound.  Otherwise (tile blocks, whose
+    scanned against its segment's bound, and when more than _TIED_SHARE of
+    the block's entries meet their bound (distances that tie) nothing is
+    written and False is returned.  Otherwise (tile blocks, whose
     rows hold the nested segments of many merges) only the segments whose
     own extreme is within 2E are listed.  A screened block takes the
     candidates' exact values from one cdist block over their rows and
@@ -158,7 +165,10 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
         if row_segments:  # scan each row against its segment's bound
             thr = np.full(len(V), -sign * np.inf)
             thr[near] = bound[local[near]]
-            p = np.flatnonzero(cmp(V, thr[:, None]))
+            hit = cmp(V, thr[:, None])
+            if np.count_nonzero(hit) > V.size * _TIED_SHARE:
+                return False
+            p = np.flatnonzero(hit)
             s = p // C
             inside = (p >= start[s]) & (p < end[s])
             p, s = p[inside], s[inside]
@@ -194,6 +204,7 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
     tie = tie[np.lexsort((right[tie], left[tie], lo[tie]))]
     head = tie[np.diff(lo[tie], prepend=-1) != 0]
     first[merges[lo[head]]] = np.column_stack((left[head], right[head]))
+    return True
 
 
 def _merge_extremes(Y, a0, a1, b0, b1, buf):
@@ -307,9 +318,12 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
     chain's merges shares one block: the added rows of the run against
     the span of the last merge's growing child, each merge reading its
     rows and the columns of its own growing child.  Runs are cut so that
-    a block stays within _CHUNK_ELEMS entries; a block of at least
-    _SCREEN_MIN_ELEMS entries is screened as in Dendrogram.cross_stats."""
-    m = len(spans)
+    a block stays within _CHUNK_ELEMS entries and its rows and columns
+    within _CHUNK_ELEMS coordinates (which only binds in high dimension);
+    a block of at least _SCREEN_MIN_ELEMS entries is screened as in
+    Dendrogram.cross_stats."""
+    m, d = len(spans), Y.shape[1]
+    dmin, first, dmax = out
     a0, a1, b0, b1 = spans.T
     na, nb = a1 - a0, b1 - b0
     add_left = na < nb
@@ -318,7 +332,8 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
     g0 = np.where(add_left, b0, a0)
     g1 = np.where(add_left, b1, a1)
     cap = min(_CHAIN_ADD, _SCREEN_MIN_SIDE - 1)
-    chain = ~done & (s1 - s0 <= cap) & ((s1 - s0) * (g1 - g0) <= _CHUNK_ELEMS)
+    sa, sg = s1 - s0, g1 - g0
+    chain = ~done & (sa <= cap) & (sa * sg <= _CHUNK_ELEMS) & ((sa + sg) * d <= _CHUNK_ELEMS)
     if not chain.any():
         return chain
     grow = np.where(add_left, children[:, 1], children[:, 0])
@@ -330,13 +345,18 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
         bottom = nxt
     M = np.flatnonzero(chain)
     M = M[np.lexsort((M, bottom[M]))]
-    add = (s1 - s0)[M].tolist()
-    width = (g1 - g0)[M].tolist()
+    add = sa[M].tolist()
+    width = sg[M].tolist()
     head = bottom[M].tolist()
     cuts = []
     rows = 0
     for j in range(len(M)):
-        if not cuts or head[j] != head[j - 1] or (rows + add[j]) * width[j] > _CHUNK_ELEMS:
+        if (
+            not cuts
+            or head[j] != head[j - 1]
+            or (rows + add[j]) * width[j] > _CHUNK_ELEMS
+            or (rows + add[j] + width[j]) * d > _CHUNK_ELEMS
+        ):
             cuts.append(j)
             rows = 0
         rows += add[j]
@@ -363,7 +383,9 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
         else:
             L, Rt, E = factors
             V, screen = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
-        _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True)
+        if not _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True):
+            for i in merges.tolist():  # tied: the candidates would fill the block
+                dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
     return chain
 
 

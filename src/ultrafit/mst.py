@@ -9,7 +9,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import PointSet, WeightedEdge, canonical_edges, cross_distances
 
-_FILTER_EDGES_PER_POINT = 4  # kruskal sorts this many edges per point per batch
+_FILTER_EDGES_PER_POINT = 4  # kruskal sorts about this many edges per point per batch
+_FILTER_SAMPLE = 1 << 16  # live weights sampled for a batch's threshold
+_FILTER_CHUNK = 1 << 15  # live edges filtered at a time
 
 
 class DisconnectedGraphError(ValueError):
@@ -114,6 +116,32 @@ def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:
     return cnt
 
 
+def _threshold(w: np.ndarray, live: np.ndarray, limit: int) -> float:
+    """A weight that about `limit` of the live edges do not exceed, read
+    from a strided sample of at most about _FILTER_SAMPLE live weights (all
+    of them when that many are live): NaN when the sample puts only NaN
+    weights, which sort last, there."""
+    sample = w.take(live[:: max(1, len(live) // _FILTER_SAMPLE)])
+    k = max(0, limit * len(sample) // len(live) - 1)
+    return np.partition(sample, k)[k]
+
+
+def _compact(live: np.ndarray, keep, dropped: list | None = None) -> np.ndarray:
+    """Compact live in place, one chunk of at most _FILTER_CHUNK entries at
+    a time, to the ids that keep(ids) marks, and return that prefix; the
+    other ids are appended to dropped, if given.  Order is kept."""
+    kept = 0
+    for s in range(0, len(live), _FILTER_CHUNK):
+        ids = live[s : s + _FILTER_CHUNK]
+        mask = keep(ids)
+        if dropped is not None:
+            dropped.append(ids[~mask])
+        ids = ids[mask]
+        live[kept : kept + len(ids)] = ids
+        kept += len(ids)
+    return live[:kept]
+
+
 def kruskal(n: int, edges) -> SpanningTree:
     """Minimum spanning tree of the given weighted graph.
 
@@ -122,11 +150,15 @@ def kruskal(n: int, edges) -> SpanningTree:
     Raises DisconnectedGraphError naming the components when the edges do
     not span all n points.
 
-    Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): only the
-    lightest _FILTER_EDGES_PER_POINT * n edges are sorted and scanned at a
-    time; before the next batch, edges whose endpoints are already joined
-    are dropped.  Every batch is a prefix of the canonical order of what
-    remains, so the tree equals that of one scan over all sorted edges.
+    Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): each batch
+    holds the live edges at or below a threshold that about
+    _FILTER_EDGES_PER_POINT * n of them meet, sorted and scanned; before
+    the next batch, edges whose endpoints are already joined are dropped.
+    Every batch is a prefix of the canonical order of what remains, so the
+    tree equals that of one scan over all sorted edges, wherever the
+    thresholds fall.  Live edges are held as an index array and filtered
+    in chunks, and only a batch's edges are gathered, so the input is the
+    only edge-sized array besides that index.
     """
     u, v, w = _as_edge_arrays(edges)
     if n == 1:
@@ -137,19 +169,21 @@ def kruskal(n: int, edges) -> SpanningTree:
     tw = np.empty(n - 1, dtype=np.float64)
     cnt = 0
     limit = _FILTER_EDGES_PER_POINT * n
-    while len(w) and cnt < n - 1:
-        # index arrays, not masks: masked copies of big arrays are far slower
-        if len(w) > limit and not np.isnan(thr := np.partition(w, limit - 1)[limit - 1]):
-            batch = np.flatnonzero(w <= thr)
-        else:  # the rest fits one batch, or only NaN weights (sorted last) are left
-            batch = np.arange(len(w))
+    live = np.arange(len(w), dtype=np.int32 if len(w) < 2**31 else np.int64)
+    while len(live) and cnt < n - 1:
+        thr = _threshold(w, live, limit) if len(live) > limit else np.nan
+        if np.isnan(thr):  # the rest fits one batch, or only NaN weights are left
+            batch, live = live, live[:0]
+        else:
+            below = []
+            live = _compact(live, lambda ids: ~(w.take(ids) <= thr), below)
+            batch = np.concatenate(below)
         cnt = _scan(parent, *canonical_edges(u.take(batch), v.take(batch), w.take(batch)), tu, tv, tw, cnt)
         if cnt == n - 1:
             break
-        # scanned edges now join one component, so the filter drops them too
+        # drop the edges whose endpoints the scans have joined
         roots = _roots(parent)
-        keep = np.flatnonzero(roots.take(u) != roots.take(v))
-        u, v, w = u.take(keep), v.take(keep), w.take(keep)
+        live = _compact(live, lambda ids: roots.take(u.take(ids)) != roots.take(v.take(ids)))
     if cnt < n - 1:
         roots = _roots(parent)
         comps = [np.flatnonzero(roots == r).tolist() for r in np.unique(roots)]
@@ -194,40 +228,48 @@ def exact_mst(points: PointSet) -> SpanningTree:
     Prim's algorithm under kruskal's strict edge order (weight, min index,
     max index).  That order is total, so the MST is unique and Prim's tree,
     sorted canonically, is the one kruskal picks.  Memory is O(n): one
-    distance row per step, never all pairs.
+    distance row per step, never all pairs.  The row covers only the live
+    columns, the vertices that were still free when they were last
+    compacted (ascending ids, with a copy of their coordinates); they are
+    compacted once fewer than 3/4 of them are free.
     """
     n = points.n
     X = points.coords
-    best = np.full(n, np.inf)  # lightest edge from the tree to each vertex
+    ids = np.arange(n)  # global id of each live column, ascending
+    Y = X  # coordinates of the live columns
+    best = np.full(n, np.inf)  # lightest edge from the tree to each live column
     best_from = np.zeros(n, dtype=np.int64)  # its tree endpoint
     free = np.ones(n, dtype=bool)  # not yet in the tree
-    closer = np.empty(n, dtype=bool)
-    tie = np.empty(n, dtype=bool)
+    nfree = n
     eu = np.empty(n - 1, dtype=np.int64)
     ev = np.empty(n - 1, dtype=np.int64)
     ew = np.empty(n - 1, dtype=np.float64)
-    j = 0
+    j = c = 0  # the vertex that joins the tree, and its live column
     for step in range(n - 1):
-        free[j] = False
-        best[j] = np.inf
-        row = cross_distances(X[j : j + 1], X)[0]
+        free[c] = False
+        best[c] = np.inf
+        nfree -= 1
+        if 4 * nfree < 3 * len(ids):
+            keep = np.flatnonzero(free)
+            ids, Y, best, best_from = ids[keep], Y[keep], best[keep], best_from[keep]
+            free = np.ones(nfree, dtype=bool)
+        row = cross_distances(X[j : j + 1], Y)[0]
         # edges (j, k) and (best_from[k], k) share k, so at equal weight the
         # order prefers the lower other endpoint
-        np.equal(row, best, out=tie)
-        np.greater(best_from, j, out=closer)
-        tie &= closer
-        np.less(row, best, out=closer)
-        closer |= tie
+        closer = row < best
+        closer |= (row == best) & (best_from > j)
         closer &= free
         np.copyto(best, row, where=closer)
         np.copyto(best_from, j, where=closer)
-        j = int(np.argmin(best))
-        np.equal(best, best[j], out=tie)
+        # ids ascend, so the first minimum is the one at the lowest id
+        c = int(np.argmin(best))
+        tie = best == best[c]
         if np.count_nonzero(tie) > 1:  # equal weights: least (min, max) pair
             k = np.flatnonzero(tie)
-            f = best_from[k]
-            j = int(k[np.lexsort((np.maximum(k, f), np.minimum(k, f)))[0]])
-        eu[step] = best_from[j]
+            g, f = ids[k], best_from[k]
+            c = int(k[np.lexsort((np.maximum(g, f), np.minimum(g, f)))[0]])
+        j = int(ids[c])
+        eu[step] = best_from[c]
         ev[step] = j
-        ew[step] = best[j]
+        ew[step] = best[c]
     return SpanningTree(n, *canonical_edges(eu, ev, ew))

@@ -114,12 +114,15 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     k, reps = config.resolved(n)
     scales = estimate_scales(points, config)
 
-    pieces = [np.arange(1, n, dtype=np.uint64)]  # coarsest-scale star on point 0
+    # each scale's pairs, deduplicated when the scale ends, so the raw
+    # pairs of only one scale are held at a time
+    scale_pairs = [np.arange(1, n, dtype=np.uint64)]  # coarsest-scale star on point 0
     bound = np.empty(n, dtype=bool)
     bound[0] = True
     for si in range(1, len(scales)):
         width = config.gamma * scales[si]
         nontrivial = 0
+        pieces = []
         for t in range(reps):
             rng = _stream(config.seed, si, t)
             proj = rng.standard_normal((d, k))
@@ -165,15 +168,30 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
             a = np.minimum(seg[m], centers[m]).astype(np.uint64)
             b = np.maximum(seg[m], centers[m]).astype(np.uint64)
             pieces.append((a << np.uint64(32)) | b)
+        if pieces:
+            packed = np.concatenate(pieces)
+            pieces.clear()
+            scale_pairs.append(_sorted_unique(packed))
         if nontrivial == 0:
             break  # every bucket is a singleton: finer scales stay trivial
 
-    packed = np.concatenate(pieces)
-    packed.sort()  # and drop repeats: far faster than np.unique's hash table
-    packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
-    u = (packed >> np.uint64(32)).astype(np.int64)
-    v = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    packed = np.concatenate(scale_pairs)
+    scale_pairs.clear()
+    packed = _sorted_unique(packed)
+    u = (packed >> np.uint64(32)).view(np.int64)
+    packed &= np.uint64(0xFFFFFFFF)
+    v = packed.view(np.int64)
     return SpannerGraph(n=n, u=u, v=v, w=edge_distances(X, u, v))
+
+
+def _sorted_unique(packed: np.ndarray) -> np.ndarray:
+    """The distinct values of packed, ascending; packed is sorted in place.
+    Far faster than np.unique's hash table."""
+    packed.sort()
+    keep = np.empty(len(packed), dtype=bool)
+    keep[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=keep[1:])
+    return packed[keep]
 
 
 def verify_stretch(points: PointSet, graph: SpannerGraph, sample: int, seed: int = 0) -> float:

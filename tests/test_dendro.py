@@ -553,20 +553,25 @@ def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
 
 
 def test_tied_high_d_chain_memory_stays_within_blocks():
-    # the one-hot caterpillar's screened chain blocks make all of their
-    # ~37k entries candidates for both extremes.  Gathering both points of
-    # each candidate pair would take ~350 MB; confirming them from a cdist
-    # block over the candidates' rows and columns stays within a few times
-    # the block and the coordinates
-    p, d = _one_hot()
-    tracemalloc.start()
-    try:
-        stats = replace(d, _cross=None).cross_stats(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * dendro_mod._CHUNK_ELEMS * 8 + 4 * p.coords.nbytes
-    assert (stats.dmin == np.sqrt(2.0)).all() and (stats.dmax == np.sqrt(2.0)).all()
+    # every pairwise distance is sqrt(2) in n dimensions, so single linkage
+    # is a caterpillar of chain merges and every entry of a chain block is
+    # a candidate for both extremes.  Such blocks go back to the per-merge
+    # path, and chain blocks hold at most _CHUNK_ELEMS coordinates, so the
+    # peak stays within the DFS copy of the coordinates, a few times those
+    # of one block, and two blocks.  Candidate arrays that fill the block
+    # (n = 300) or chain blocks of 2^18 entries with 1000 coordinates a row
+    # (n = 1000) each take more.
+    for n in (300, 1000):
+        p = PointSet(np.eye(n))
+        d = single_linkage(p)
+        tracemalloc.start()
+        try:
+            stats = replace(d, _cross=None).cross_stats(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dendro_mod._CHUNK_ELEMS * 8 + 4 * p.coords.nbytes, n
+        assert (stats.dmin == np.sqrt(2.0)).all() and (stats.dmax == np.sqrt(2.0)).all()
 
 
 def _blobs(n, d, seed):

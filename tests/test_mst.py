@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ultrafit import (
     kt_factor,
     verify_stretch,
 )
+from ultrafit import mst as mst_mod
 from ultrafit.core import cross_distances
 
 COLLINEAR = PointSet([[0.0], [1.0], [3.0]])
@@ -135,6 +137,10 @@ MST_INPUTS = {
     "grid-9x9-shuffled": _grid(9, 2)[np.random.default_rng(0).permutation(81)],
     "lattice-7x7x7": _grid(7, 3),
     "collinear-40": np.arange(40.0)[:, None] * 0.25,
+    # 2^7 cube corners, shuffled: every distance is the root of an integer
+    # up to 7, so nearly every step ties, across the many compactions of
+    # Prim's live columns
+    "hypercube-7-shuffled": _grid(2, 7)[np.random.default_rng(1).permutation(128)],
     # beyond the former 2048-point limit of the all-pairs branch
     "grid-50x50": _grid(50, 2),
     "uniform-2600x5": np.random.default_rng(5).random((2600, 5)),
@@ -240,6 +246,48 @@ def test_kruskal_batches_match_single_scan(seed):
     assert tree.edge_list() == forest
 
 
+def _ordered_weights(order, m, rng):
+    if order == "equal":
+        return np.ones(m)
+    if order == "ascending":
+        return np.arange(m) / 8.0
+    if order == "descending":
+        return np.arange(m)[::-1] / 8.0
+    w = np.round(rng.random(m) * 40) / 8  # "nan": a third of the weights NaN
+    w[rng.random(m) < 1 / 3] = np.nan
+    return w
+
+
+def _forest_bytes(u, v, w):
+    return np.asarray(u).tobytes(), np.asarray(v).tobytes(), np.asarray(w, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("sample", [None, 7], ids=["default-sample", "sample7"])
+@pytest.mark.parametrize("order", ["equal", "ascending", "descending", "nan"])
+def test_kruskal_batches_match_single_scan_weight_orders(order, sample, monkeypatch):
+    # the batch thresholds come from a strided sample of the live weights;
+    # sorted and constant weights are where such a sample is at its worst,
+    # and NaN weights sort last.  A 7-weight sample makes the stride > 1.
+    if sample:
+        monkeypatch.setattr(mst_mod, "_FILTER_SAMPLE", sample)
+    rng = np.random.default_rng(17)
+    n = 120
+    u, v, _ = _tie_heavy_graph(rng, n, 30 * n)
+    if order == "nan":  # the last point is only reachable through a NaN edge
+        keep = (u != n - 1) & (v != n - 1)
+        u, v = u[keep], v[keep]
+    w = _ordered_weights(order, len(u) + n - 1, rng)
+    u = np.concatenate([u, np.arange(n - 1)])  # a path keeps it connected
+    v = np.concatenate([v, np.arange(1, n)])
+    if order == "nan":
+        w[-1] = np.nan
+    forest, comps = _single_scan_kruskal(n, u, v, w)
+    assert len(comps) == 1
+    tree = kruskal(n, (u, v, w))
+    assert _forest_bytes(tree.u, tree.v, tree.w) == _forest_bytes(*zip(*forest))
+    assert np.isnan(tree.w).any() == (order == "nan")
+
+
 def test_kruskal_batches_match_single_scan_on_spanner():
     p = PointSet(np.random.default_rng(5).random((400, 3)))
     g = build_spanner(p, SpannerConfig(gamma=1.5, seed=2))
@@ -263,3 +311,25 @@ def test_kruskal_disconnected_forest_matches_single_scan():
     assert got == forest
     assert sorted(sorted(c) for c in exc.components) == comps
     assert len(comps) >= 22  # the two groups and the 20 isolated points
+
+
+def _blobs(n, d, seed):
+    """Ten Gaussian blobs, the shape of the benchmark's blob workload."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((10, d)) * 6.0
+    return centers[rng.integers(0, 10, n)] + rng.standard_normal((n, d)) * 0.35
+
+
+def test_kruskal_memory_is_an_index_per_edge():
+    # beside the input graph, kruskal holds one int32 index per live edge
+    # and the working arrays of one batch of about 4n edges, which scale
+    # with the points: no copy of the edge arrays or their weights
+    p = PointSet(_blobs(3000, 16, 1))
+    g = build_spanner(p, SpannerConfig(gamma=2.5, seed=1))
+    tracemalloc.start()
+    try:
+        kruskal(p.n, (g.u, g.v, g.w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * g.edge_count + 4 * p.coords.nbytes

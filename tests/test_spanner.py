@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,20 @@ def test_build_spanner_matches_reference_loop(coords, gamma):
         assert g.edge_count == len(ru), f"seed {seed}"
         assert (g.u == ru).all() and (g.v == rv).all(), f"seed {seed}"
         assert (g.w == paired_distances(p.coords[ru], p.coords[rv])).all()
+
+
+def test_build_spanner_memory_is_the_deduplicated_graph():
+    # the output holds 24 bytes per unique edge (u, v, w); the raw pairs of
+    # all scales, about 1.4 times the unique ones here, are never held at
+    # once, so the peak stays within a third more than the output plus a
+    # few copies of the coordinates
+    rng = np.random.default_rng(1)
+    centers = rng.random((10, 16)) * 6.0
+    p = PointSet(centers[rng.integers(0, 10, 3000)] + rng.standard_normal((3000, 16)) * 0.35)
+    tracemalloc.start()
+    try:
+        g = build_spanner(p, SpannerConfig(gamma=2.5, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * g.edge_count + 4 * p.coords.nbytes
