@@ -126,17 +126,17 @@ def _threshold(w: np.ndarray, live: np.ndarray, limit: int) -> float:
     return np.partition(sample, k)[k]
 
 
-def _compact(live: np.ndarray, keep, dropped: list | None = None) -> np.ndarray:
-    """Compact live in place, one chunk of at most _FILTER_CHUNK entries at
-    a time, to the ids that keep(ids) marks, and return that prefix; the
-    other ids are appended to dropped, if given.  Order is kept."""
+def _chunks(live: np.ndarray):
+    """live in consecutive views of at most _FILTER_CHUNK entries."""
+    return (live[s : s + _FILTER_CHUNK] for s in range(0, len(live), _FILTER_CHUNK))
+
+
+def _compact(live: np.ndarray, keep) -> np.ndarray:
+    """Compact live in place, one chunk at a time, to the ids that keep(ids)
+    marks, and return that prefix.  Order is kept."""
     kept = 0
-    for s in range(0, len(live), _FILTER_CHUNK):
-        ids = live[s : s + _FILTER_CHUNK]
-        mask = keep(ids)
-        if dropped is not None:
-            dropped.append(ids[~mask])
-        ids = ids[mask]
+    for ids in _chunks(live):
+        ids = ids[keep(ids)]
         live[kept : kept + len(ids)] = ids
         kept += len(ids)
     return live[:kept]
@@ -175,13 +175,11 @@ def kruskal(n: int, edges) -> SpanningTree:
         if np.isnan(thr):  # the rest fits one batch, or only NaN weights are left
             batch, live = live, live[:0]
         else:
-            below = []
-            live = _compact(live, lambda ids: ~(w.take(ids) <= thr), below)
-            batch = np.concatenate(below)
+            batch = np.concatenate([ids[w.take(ids) <= thr] for ids in _chunks(live)])
         cnt = _scan(parent, *canonical_edges(u.take(batch), v.take(batch), w.take(batch)), tu, tv, tw, cnt)
         if cnt == n - 1:
             break
-        # drop the edges whose endpoints the scans have joined
+        # drop the edges whose endpoints the scans have joined, the batch's too
         roots = _roots(parent)
         live = _compact(live, lambda ids: roots.take(u.take(ids)) != roots.take(v.take(ids)))
     if cnt < n - 1:
