@@ -17,10 +17,8 @@ from .core import PointSet, cross_distances
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
-# Nodes whose children both have at least _SCREEN_MIN_SIDE leaves and whose
-# cross pairs number at least _SCREEN_MIN_ELEMS are screened (see
+# Blocks of at least _SCREEN_MIN_ELEMS entries are screened (see
 # Dendrogram.cross_stats); below that a plain cdist block is cheaper.
-_SCREEN_MIN_SIDE = 8
 _SCREEN_MIN_ELEMS = 1 << 12
 # Screening bounds rounding errors relative to the squared norms; outside
 # this range a sum could overflow, or underflow could add absolute errors.
@@ -93,9 +91,7 @@ def _candidates(S: np.ndarray, E: float):
     return np.flatnonzero(near | far), np.flatnonzero(cols)
 
 
-_TILE_LEAVES = 127  # cap on the leaves of one tile (see Dendrogram.cross_stats)
-_CHAIN_ADD = 7  # cap on the leaves one chain merge adds to its growing child
-# A chain block in which more than this share of the entries are candidates
+# A run block in which more than this share of the entries are candidates
 # is handed back to _merge_extremes, so candidate arrays stay small when
 # distances tie (one-hot rows, say).
 _TIED_SHARE = 1 / 8
@@ -107,14 +103,12 @@ def _steps(sizes: np.ndarray) -> np.ndarray:
 
 
 def _tile_cap() -> int:
-    """Largest tile size k <= _TILE_LEAVES whose k x k block fits in
-    _CHUNK_ELEMS and none of whose merges is screened: in a subtree of at
-    most k leaves, a merge's smaller child has at most k // 2 leaves and
-    the merge at most (k // 2) * (k - k // 2) cross pairs."""
-    k = min(_TILE_LEAVES, math.isqrt(_CHUNK_ELEMS))
-    while k > 1 and k // 2 >= _SCREEN_MIN_SIDE and (k // 2) * (k - k // 2) >= _SCREEN_MIN_ELEMS:
-        k -= 1
-    return k
+    """Largest tile size k whose k x k block fits in _CHUNK_ELEMS and none
+    of whose merges is screened: in a subtree of at most k leaves, a
+    merge's smaller child has at most k // 2 leaves and the merge at most
+    (k // 2) * (k - k // 2) = floor(k^2 / 4) cross pairs, fewer than
+    _SCREEN_MIN_ELEMS exactly when k^2 < 4 * _SCREEN_MIN_ELEMS."""
+    return min(math.isqrt(_CHUNK_ELEMS), math.isqrt(4 * _SCREEN_MIN_ELEMS - 1))
 
 
 def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
@@ -133,7 +127,7 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
 
     Per merge, every entry within 2E of the merge's extreme in V is a
     candidate, so the candidates hold every entry at the exact extreme.
-    With row_segments, segment r is on row r (chain blocks): each row is
+    With row_segments, segment r is on row r (run blocks): each row is
     scanned against its segment's bound, and when more than _TIED_SHARE of
     the block's entries meet their bound (distances that tie) nothing is
     written and False is returned.  Otherwise (tile blocks, whose
@@ -209,11 +203,11 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
 
 def _merge_extremes(Y, a0, a1, b0, b1, buf):
     """Minimum, its first pair (DFS positions) and maximum over the cross
-    pairs of one merge, in the blocks of _blocks; screened when both
-    children have at least _SCREEN_MIN_SIDE rows and the merge at least
-    _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM output."""
+    pairs of one merge, in the blocks of _blocks; screened when the merge
+    has at least _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM
+    output."""
     screen = None
-    if min(a1 - a0, b1 - b0) >= _SCREEN_MIN_SIDE and (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
+    if (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
         screen = _screen_factors(Y[a0:b1], a1 - a0)
     near, far, at = np.inf, -np.inf, (a0, b0)
     for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
@@ -308,42 +302,40 @@ def _tile_pass(Y, spans, children, out) -> np.ndarray:
     return small
 
 
-def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
-    """Reduce every chain merge; returns the mask of the merges done.
+def _run_pass(Y, spans, children, todo, out):
+    """Reduce every merge of the mask todo along heavy paths.
 
-    A chain merge adds at most _CHAIN_ADD leaves (its smaller child, on a
-    tie the right one) to its growing child; a chain is a run of chain
-    merges each growing the previous one.  Its cross pairs are the added
-    rows against the growing child's contiguous span, so a run of a
-    chain's merges shares one block: the added rows of the run against
-    the span of the last merge's growing child, each merge reading its
-    rows and the columns of its own growing child.  Runs are cut so that
-    a block stays within _CHUNK_ELEMS entries and its rows and columns
-    within _CHUNK_ELEMS coordinates (which only binds in high dimension);
-    a block of at least _SCREEN_MIN_ELEMS entries is screened as in
-    Dendrogram.cross_stats."""
+    Each merge reads the rows of its smaller child (on a tie the right
+    one) against the contiguous span of its larger child.  A heavy path
+    follows each merge's larger child, so along a run of one path's
+    merges, taken bottom-up, each larger child holds the merge below, and
+    one block serves the run: its rows against the span of the top
+    merge's larger child, each merge reading its rows and the columns of
+    its own larger child.  Runs are cut so that a block stays within
+    _CHUNK_ELEMS entries and its rows and columns within _CHUNK_ELEMS
+    coordinates (which only binds in high dimension); a block of at least
+    _SCREEN_MIN_ELEMS entries is screened as in Dendrogram.cross_stats.
+    A merge whose own block exceeds those caps, and the merges of a block
+    whose distances tie, are reduced on their own by _merge_extremes."""
     m, d = len(spans), Y.shape[1]
     dmin, first, dmax = out
     a0, a1, b0, b1 = spans.T
-    na, nb = a1 - a0, b1 - b0
-    add_left = na < nb
+    add_left = a1 - a0 < b1 - b0
     s0 = np.where(add_left, a0, b0)
     s1 = np.where(add_left, a1, b1)
     g0 = np.where(add_left, b0, a0)
     g1 = np.where(add_left, b1, a1)
-    cap = min(_CHAIN_ADD, _SCREEN_MIN_SIDE - 1)
     sa, sg = s1 - s0, g1 - g0
-    chain = ~done & (sa <= cap) & (sa * sg <= _CHUNK_ELEMS) & ((sa + sg) * d <= _CHUNK_ELEMS)
-    if not chain.any():
-        return chain
+    fits = (sa * sg <= _CHUNK_ELEMS) & ((sa + sg) * d <= _CHUNK_ELEMS)
+    run = todo & fits
     grow = np.where(add_left, children[:, 1], children[:, 0])
-    bottom = np.where((grow >= 0) & chain[grow], grow, np.arange(m))
-    while True:  # pointer jumping to each chain's first merge
+    bottom = np.where((grow >= 0) & run[grow], grow, np.arange(m))
+    while True:  # pointer jumping to each run's first merge
         nxt = bottom[bottom]
         if (nxt == bottom).all():
             break
         bottom = nxt
-    M = np.flatnonzero(chain)
+    M = np.flatnonzero(run)
     M = M[np.lexsort((M, bottom[M]))]
     add = sa[M].tolist()
     width = sg[M].tolist()
@@ -361,6 +353,7 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
             rows = 0
         rows += add[j]
     cuts.append(len(M))
+    alone = np.flatnonzero(todo & ~fits).tolist()
     buf = np.empty(_CHUNK_ELEMS)
     for j, k in zip(cuts[:-1], cuts[1:]):
         merges = M[j:k]
@@ -384,9 +377,9 @@ def _chain_pass(Y, spans, children, done, out) -> np.ndarray:
             L, Rt, E = factors
             V, screen = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
         if not _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True):
-            for i in merges.tolist():  # tied: the candidates would fill the block
-                dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
-    return chain
+            alone += merges.tolist()  # tied: the candidates would fill the block
+    for i in alone:
+        dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
 
 
 @dataclass
@@ -448,22 +441,21 @@ class Dendrogram:
         - tiles (_tile_pass): a maximal subtree of at most _tile_cap()
           leaves gets one cdist block over its rows, from which all of its
           merges are read;
-        - chains (_chain_pass): a run of merges that each add at most
-          _CHAIN_ADD leaves to one growing cluster gets blocks of the added
-          rows against the growing cluster's span.  The added leaves may
-          be either child, so each merge keeps its own left x right order.
-          Larger chain blocks are screened like a large merge (below).
+        - heavy-path runs (_run_pass): every other merge reads its smaller
+          child's rows against its larger child's span, and consecutive
+          merges of one heavy path share a block.  The smaller child may
+          be either child, so each merge keeps its own left x right order;
+        - a merge too large for one block is reduced on its own, in the
+          blocks of _blocks (_merge_extremes).
 
-        Every other merge is reduced on its own, in the _CHUNK_ELEMS blocks
-        of _blocks.  A small one scans each block with cdist.  A large one
-        is screened: one GEMM per block ranks its entries by approximate
-        squared distance (_screen_factors), and cdist recomputes only the
-        rows and columns holding entries within 2E of the block's
-        approximate minimum or maximum, which contain every entry at the
-        exact extremes, so the result equals a full scan's.  No cdist or
-        GEMM block has more than _CHUNK_ELEMS entries.  The result
-        depends only on topology and points, so it is memoized per
-        PointSet object.
+        A block of at least _SCREEN_MIN_ELEMS entries is screened: one
+        GEMM ranks its entries by approximate squared distance
+        (_screen_factors), and cdist recomputes only the rows and columns
+        holding entries within 2E of a merge's approximate minimum or
+        maximum, which contain every entry at the exact extremes, so the
+        result equals a full scan's.  No cdist or GEMM block has more than
+        _CHUNK_ELEMS entries.  The result depends only on topology and
+        points, so it is memoized per PointSet object.
         """
         if self._cross is not None and self._cross[0] is points:
             return self._cross[1]
@@ -475,11 +467,7 @@ class Dendrogram:
         out = (dmin, first, dmax)
         children = np.column_stack((self.left, self.right)) - self.n  # merge rows; < 0 for leaves
         children[children < 0] = -1
-        done = _tile_pass(Y, spans, children, out)
-        done |= _chain_pass(Y, spans, children, done, out)
-        buf = np.empty(_CHUNK_ELEMS)  # GEMM output of screened blocks
-        for i in np.flatnonzero(~done).tolist():
-            dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
+        _run_pass(Y, spans, children, ~_tile_pass(Y, spans, children, out), out)
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
         object.__setattr__(self, "_cross", (points, stats))

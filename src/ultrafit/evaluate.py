@@ -96,18 +96,17 @@ def benchmark(
     points: PointSet,
     algorithms,
     repeats: int = 3,
-    seed: int = 0,
-    gamma: float = 2.5,
     config: SpannerConfig | None = None,
 ) -> list[dict]:
-    """Wall-clock per algorithm, arithmetic mean over repeats.
+    """Wall-clock per algorithm, arithmetic mean over repeats, fitted with
+    config (default SpannerConfig()).
 
     Rows carry per-stage means from the fitters, ready for log-scale
     plotting.  An empty algorithm list produces an empty table.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    cfg = config or SpannerConfig(gamma=gamma, seed=seed)
+    cfg = config or SpannerConfig()
     rows = []
     for name in algorithms:
         walls = []

@@ -273,7 +273,6 @@ def test_exact_cut_weights_bitwise_match_union_find_loop(monkeypatch):
     inputs = [rng.random((300, 20)), grid, rng.standard_normal((200, 3)) * 1e3 + 1e6]
     for screen_all in (False, True):
         if screen_all:  # screen every merge, however small
-            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
             monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
         for coords in inputs:
             p = PointSet(coords)
@@ -335,7 +334,6 @@ def test_kt_factor_bitwise_matches_block_loop(monkeypatch):
     assert max(_block_loop_kt_factor(p, tree) for p, tree in cases) > 10
     for screen_all in (False, True):
         if screen_all:  # screen every merge, however small
-            monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
             monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
         for p, tree in cases:
             assert kt_factor(p, tree) == _block_loop_kt_factor(p, tree), p.n

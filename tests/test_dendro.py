@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,24 @@ def _dense_check(p, d, stats):
         assert stats.dmax[i] == block.max()
 
 
+# one _block_extremes call; flipped: some merge's rows are its right child
+_Block = namedtuple("_Block", "shape merges screened flipped reduced")
+
+
+def _spy_block_extremes(monkeypatch):
+    """Every _block_extremes call, as a _Block."""
+    calls = []
+    block_extremes = dendro_mod._block_extremes
+
+    def spy(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
+        reduced = block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen, row_segments)
+        calls.append(_Block(V.shape, merges.tolist(), screen is not None, bool(flip.any()), reduced))
+        return reduced
+
+    monkeypatch.setattr(dendro_mod, "_block_extremes", spy)
+    return calls
+
+
 def _spy_entries(monkeypatch, chunk):
     entries = []
 
@@ -361,9 +380,8 @@ def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
     p, d = make()
     monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
     entries = _spy_entries(monkeypatch, chunk)
-    # default screening sizes, then every node screened
-    for side, elems in ((dendro_mod._SCREEN_MIN_SIDE, dendro_mod._SCREEN_MIN_ELEMS), (1, 1)):
-        monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", side)
+    # default screening size, then every block screened
+    for elems in (dendro_mod._SCREEN_MIN_ELEMS, 1):
         monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", elems)
         _dense_check(p, d, replace(d, _cross=None).cross_stats(p))
     entries.clear()
@@ -379,16 +397,19 @@ def test_cross_stats_match_brute_force(make, chunk, monkeypatch):
 
 def test_screen_falls_back_near_overflow(monkeypatch):
     # two clusters 1.3e154 apart: the root's squared norms exceed max / 4, so
-    # its 20 x 20 cross pairs get one plain cdist block; distances stay finite
+    # the block holding its cross pairs is one plain cdist block; distances
+    # stay finite
     rng = np.random.default_rng(34)
     x = np.concatenate([rng.random(20) * 1e152, 1.3e154 + rng.random(20) * 1e152])
     p = PointSet(x[:, None])
     d = single_linkage(p)
-    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
     monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
     entries = _spy_entries(monkeypatch, dendro_mod._CHUNK_ELEMS)
+    blocks = _spy_block_extremes(monkeypatch)
     stats = replace(d, _cross=None).cross_stats(p)
-    assert 20 * 20 in entries
+    [root] = [b for b in blocks if len(d.height) - 1 in b.merges]
+    assert not root.screened and root.shape[0] * root.shape[1] in entries
+    assert root.shape[0] >= 20 and root.shape[1] == 20  # the root's 20 rows against its 20 columns
     assert np.isfinite(stats.dmax).all()
     _dense_check(p, d, stats)
 
@@ -439,7 +460,7 @@ def _grown(points, steps):
 
 
 def _chain_left():
-    # one leaf per merge, added as the left child: a tile, then a chain of 172 merges
+    # one leaf per merge, added as the left child: a tile, then a run of 172 merges
     return _grown(np.random.default_rng(50).random((300, 3)), [(1, "left")] * 299)
 
 
@@ -456,6 +477,14 @@ def _chain_mixed():
         steps.append((k, "left" if rng.random() < 0.5 else "right"))
         total += k
     return _grown(rng.random((400, 4)), steps)
+
+
+def _runs_mixed():
+    # 8 to 60 leaves per merge, on either side: heavy-path runs of merges
+    # too large for a tile, in plain and screened blocks
+    rng = np.random.default_rng(53)
+    steps = [(int(k), "left" if rng.random() < 0.5 else "right") for k in rng.integers(8, 61, 30)]
+    return _grown(rng.random((1 + sum(k for k, _ in steps), 4)), steps)
 
 
 def _collinear(side):
@@ -478,7 +507,7 @@ def _collinear_right():
 
 def _one_hot():
     # every pairwise distance is sqrt(2) in 300 dimensions: single linkage
-    # adds one leaf per merge, and every entry of a screened chain block
+    # adds one leaf per merge, and every entry of a screened run block
     # is a candidate for both extremes
     p = PointSet(np.eye(300))
     return p, single_linkage(p)
@@ -511,7 +540,7 @@ def _spy_blocks(monkeypatch):
 @pytest.mark.parametrize(
     "make",
     [
-        _chain_left, _chain_right, _chain_mixed, _collinear_left, _collinear_right, _one_hot,
+        _chain_left, _chain_right, _chain_mixed, _runs_mixed, _collinear_left, _collinear_right, _one_hot,
         _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _high_d,
     ],
     ids=lambda f: f.__name__[1:],
@@ -528,38 +557,31 @@ def test_batched_cross_stats_match_oracle(make, chunk, monkeypatch):
 
 
 def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
-    # the fixtures above exercise tiles, exact and screened chain blocks, and
-    # chains whose added leaves are the left and the right child
-    kinds = []
-    block_extremes = dendro_mod._block_extremes
-
-    def spy(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
-        kinds.append((screen is not None, bool(flip.any()), bool((~flip).any())))
-        return block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen, row_segments)
-
-    monkeypatch.setattr(dendro_mod, "_block_extremes", spy)
+    # the fixtures above exercise tiles, plain and screened run blocks, and
+    # runs whose rows are the left and the right child
+    blocks = _spy_block_extremes(monkeypatch)
     for make in (_chain_left, _chain_right, _collinear_left):
         p, d = make()
-        kinds.clear()
+        blocks.clear()
         stats = d.cross_stats(p)
-        assert len(kinds) >= 2  # a tile block, then chain blocks
-        assert any(screened for screened, _, _ in kinds)
-        assert any(not screened for screened, _, _ in kinds)
+        assert len(blocks) >= 2  # a tile block, then run blocks
+        assert any(b.screened for b in blocks)
+        assert any(not b.screened for b in blocks)
         _assert_bitwise(stats, _oracle(d, p))
     p, d = _chain_right()
-    kinds.clear()
+    blocks.clear()
     d.cross_stats(PointSet(p.coords))
-    assert any(flipped for _, flipped, _ in kinds)
+    assert any(b.flipped for b in blocks)
 
 
 def test_tied_high_d_chain_memory_stays_within_blocks():
     # every pairwise distance is sqrt(2) in n dimensions, so single linkage
-    # is a caterpillar of chain merges and every entry of a chain block is
+    # is a caterpillar, one heavy path, and every entry of a run block is
     # a candidate for both extremes.  Such blocks go back to the per-merge
-    # path, and chain blocks hold at most _CHUNK_ELEMS coordinates, so the
+    # path, and run blocks hold at most _CHUNK_ELEMS coordinates, so the
     # peak stays within the DFS copy of the coordinates, a few times those
     # of one block, and two blocks.  Candidate arrays that fill the block
-    # (n = 300) or chain blocks of 2^18 entries with 1000 coordinates a row
+    # (n = 300) or run blocks of 2^18 entries with 1000 coordinates a row
     # (n = 1000) each take more.
     for n in (300, 1000):
         p = PointSet(np.eye(n))
@@ -582,13 +604,32 @@ def _blobs(n, d, seed):
 
 
 @pytest.mark.slow
-def test_batched_cross_stats_match_oracle_at_benchmark_shapes():
+def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
     from ultrafit import run_algorithm
 
     blobs = PointSet(_blobs(3000, 16, 61))
     highd = dedupe(PointSet(np.random.default_rng(62).random((600, 77))))[0]
     cases = [(blobs, a) for a in ("approx", "acc", "single")]
     cases += [(highd, a) for a in ("approx", "acc", "exact", "single", "average", "ward")]
+    alone = []  # spans of the merges reduced on their own
+    merge_extremes = dendro_mod._merge_extremes
+
+    def spy(Y, a0, a1, b0, b1, buf):
+        alone.append((a0, a1, b0, b1))
+        return merge_extremes(Y, a0, a1, b0, b1, buf)
+
+    monkeypatch.setattr(dendro_mod, "_merge_extremes", spy)
+    blocks = _spy_block_extremes(monkeypatch)
+    cap = dendro_mod._CHUNK_ELEMS
     for p, algo in cases:
         d = run_algorithm(algo, p).dendrogram
-        _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
+        spans = d._dfs_layout(p)[1]
+        alone.clear()
+        blocks.clear()
+        got = replace(d, _cross=None).cross_stats(p)
+        # only a merge too large for one block, or one of a tied block
+        tied = {tuple(spans[i].tolist()) for b in blocks if not b.reduced for i in b.merges}
+        for a0, a1, b0, b1 in alone:
+            na, nb = a1 - a0, b1 - b0
+            assert na * nb > cap or (na + nb) * p.d > cap or (a0, a1, b0, b1) in tied, algo
+        _assert_bitwise(got, _oracle(d, p))

@@ -79,7 +79,7 @@ def test_mean_between_min_and_max():
 
 
 def test_benchmark_mean_of_repeats():
-    rows = benchmark(COLLINEAR, ["exact"], repeats=3, seed=0)
+    rows = benchmark(COLLINEAR, ["exact"], repeats=3)
     assert len(rows) == 1
     assert rows[0]["repeats"] == 3
     assert rows[0]["mean_wall_ms"] > 0
@@ -164,7 +164,6 @@ def _fits():
 
 
 def _screen_every_node(monkeypatch):
-    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_SIDE", 1)
     monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
 
 
