@@ -5,7 +5,7 @@ cut weights, cartesian tree), an exact optimal baseline, the classic
 linkage baselines, and an exact distortion-evaluation harness.
 """
 
-from .core import PointSet, WeightedEdge, dedupe, distance
+from .core import PointSet, dedupe, distance
 from .cutweight import approximate_cut_weights, exact_cut_weights, kt_factor
 from .dendro import (
     Dendrogram,
@@ -42,7 +42,7 @@ from .spanner import SpannerConfig, SpannerGraph, build_spanner, estimate_scales
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointSet", "WeightedEdge", "dedupe", "distance",
+    "PointSet", "dedupe", "distance",
     "approximate_cut_weights", "exact_cut_weights", "kt_factor",
     "Dendrogram", "build_dendrogram", "contract_duplicates", "expand_duplicates", "format_merge_list",
     "from_merge_rows", "normalize", "parse_merge_list", "to_merge_rows", "to_newick",

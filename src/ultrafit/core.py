@@ -8,16 +8,9 @@ distances; squared-distance shortcuts are never stored.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-
-class WeightedEdge(NamedTuple):
-    u: int
-    v: int
-    w: float
 
 
 @dataclass(frozen=True)

@@ -50,32 +50,43 @@ def _extremes(block: np.ndarray):
     return block[r, c], r, c, block.flat[block.argmax()]
 
 
-def _screen_factors(Z: np.ndarray, na: int):
-    """Factors L, R and margin E for the node whose rows Z are its left
-    child's na rows followed by its right child's, or None when M (below)
-    is outside _SCREEN_NORMS.
+def _screen_factors(Y: np.ndarray) -> np.ndarray:
+    """Column factors F = [y', 1, N] of every row of Y, centred once on
+    the mean c of all rows: y' = y - c and N = |y'|^2.  A screened block
+    takes its columns' factors as a slice of F and builds its rows'
+    (_row_factors)."""
+    d = Y.shape[1]
+    F = np.empty((len(Y), d + 2))
+    Yc = np.subtract(Y, Y.mean(axis=0), out=F[:, :d])
+    F[:, d] = 1.0
+    F[:, d + 1] = np.einsum("ij,ij->i", Yc, Yc)
+    return F
 
-    Rows are centred on the node mean: a' = a - c.  With N = |a'|^2,
-    L = [-2a', N, 1] and R = [b', 1, N], so (L @ R.T)[i, j] approximates
-    the squared distance s = |a_i - b_j|^2.  Against the square of the
-    cdist value D, the GEMM errs by at most (d+2) eps M, with
-    M = max N over the left rows + max N over the right rows, the norms
-    by d eps M / 2, the centring by 2 eps M and cdist itself by
-    (d+4) eps M, so |L @ R.T - D^2| <= E = 8 (d+4) eps M holds with
-    room to spare, in any summation order.
+
+def _row_factors(F: np.ndarray, rows: np.ndarray, c0: int, c1: int):
+    """Row factors L and margin E for rows `rows` of F against its columns
+    [c0, c1), or None when M (below) is outside _SCREEN_NORMS.
+
+    L = [-2a', N, 1] and R = F[c0:c1] = [b', 1, N], so (L @ R.T)[i, j]
+    approximates the squared distance s = |a_i - b_j|^2.  Against the
+    square of the cdist value D, the GEMM errs by at most (d+2) eps M,
+    with M = max N over the rows + max N over the columns, the norms by
+    d eps M / 2, the centring by 2 eps M and cdist itself by (d+4) eps M,
+    so |L @ R.T - D^2| <= E = 8 (d+4) eps M holds with room to spare, in
+    any summation order.  Every term is bounded through the norms of the
+    centred rows alone, so the bound holds for any centre c, the one
+    shared by the whole tree included, as long as M is taken from the
+    norms after that centring.
     """
-    d = Z.shape[1]
-    W = np.empty((len(Z), d + 2))
-    Zc = np.subtract(Z, Z.mean(axis=0), out=W[:, :d])
-    N = np.einsum("ij,ij->i", Zc, Zc)
-    M = N[:na].max() + N[na:].max()
+    d = F.shape[1] - 2
+    M = F[rows, d + 1].max() + F[c0:c1, d + 1].max()
     if not _SCREEN_NORMS[0] <= M <= _SCREEN_NORMS[1]:  # also catches NaN and inf
         return None
-    Zc[:na] *= -2.0
-    W[:, d:] = 1.0
-    W[:na, d] = N[:na]
-    W[na:, d + 1] = N[na:]
-    return W[:na], W[na:], 8 * (d + 4) * np.finfo(np.float64).eps * M
+    L = F[rows]
+    L[:, :d] *= -2.0
+    L[:, d] = L[:, d + 1]
+    L[:, d + 1] = 1.0
+    return L, 8 * (d + 4) * np.finfo(np.float64).eps * M
 
 
 def _candidates(S: np.ndarray, E: float):
@@ -201,29 +212,28 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
     return True
 
 
-def _merge_extremes(Y, a0, a1, b0, b1, buf):
+def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
     """Minimum, its first pair (DFS positions) and maximum over the cross
-    pairs of one merge, in the blocks of _blocks; screened when the merge
-    has at least _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM
-    output."""
-    screen = None
-    if (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS:
-        screen = _screen_factors(Y[a0:b1], a1 - a0)
+    pairs of one merge, in the blocks of _blocks; screened, from the
+    factors F = _screen_factors(Y), when the merge has at least
+    _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM output."""
+    screened = (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS
     near, far, at = np.inf, -np.inf, (a0, b0)
     for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+        screen = _row_factors(F, np.arange(ra, re), cb, ce) if screened else None
         if screen is None:
             bmin, r, c, bmax = _extremes(cross_distances(Y[ra:re], Y[cb:ce]))
             r, c = ra + r, cb + c
         else:
-            L, R, E = screen
-            A, B = L[ra - a0 : re - a0], R[cb - b0 : ce - b0]
-            out = buf[: len(A) * len(B)]
+            L, E = screen
+            R = F[cb:ce]
+            out = buf[: len(L) * len(R)]
             # the longer side runs along the rows of the GEMM output,
             # where the row reductions of _candidates are fast
-            if len(A) <= len(B):
-                rows, cols = _candidates(np.matmul(A, B.T, out=out.reshape(len(A), len(B))), E)
+            if len(L) <= len(R):
+                rows, cols = _candidates(np.matmul(L, R.T, out=out.reshape(len(L), len(R))), E)
             else:
-                cols, rows = _candidates(np.matmul(B, A.T, out=out.reshape(len(B), len(A))), E)
+                cols, rows = _candidates(np.matmul(R, L.T, out=out.reshape(len(R), len(L))), E)
             rows += ra
             cols += cb
             bmin, r, c, bmax = _extremes(cross_distances(Y[rows], Y[cols]))
@@ -302,7 +312,7 @@ def _tile_pass(Y, spans, children, out) -> np.ndarray:
     return small
 
 
-def _run_pass(Y, spans, children, todo, out):
+def _run_pass(Y, F, spans, children, todo, out):
     """Reduce every merge of the mask todo along heavy paths.
 
     Each merge reads the rows of its smaller child (on a tie the right
@@ -312,11 +322,13 @@ def _run_pass(Y, spans, children, todo, out):
     one block serves the run: its rows against the span of the top
     merge's larger child, each merge reading its rows and the columns of
     its own larger child.  Runs are cut so that a block stays within
-    _CHUNK_ELEMS entries and its rows and columns within _CHUNK_ELEMS
-    coordinates (which only binds in high dimension); a block of at least
-    _SCREEN_MIN_ELEMS entries is screened as in Dendrogram.cross_stats.
-    A merge whose own block exceeds those caps, and the merges of a block
-    whose distances tie, are reduced on their own by _merge_extremes."""
+    _CHUNK_ELEMS entries and its gathered rows within _CHUNK_ELEMS
+    coordinates (which only binds in high dimension); its columns are
+    views of Y and F.  A block of at least _SCREEN_MIN_ELEMS entries is
+    screened from the factors F = _screen_factors(Y), as in
+    Dendrogram.cross_stats.  A merge whose own block exceeds those caps,
+    and the merges of a block whose distances tie, are reduced on their
+    own by _merge_extremes."""
     m, d = len(spans), Y.shape[1]
     dmin, first, dmax = out
     a0, a1, b0, b1 = spans.T
@@ -326,7 +338,7 @@ def _run_pass(Y, spans, children, todo, out):
     g0 = np.where(add_left, b0, a0)
     g1 = np.where(add_left, b1, a1)
     sa, sg = s1 - s0, g1 - g0
-    fits = (sa * sg <= _CHUNK_ELEMS) & ((sa + sg) * d <= _CHUNK_ELEMS)
+    fits = (sa * sg <= _CHUNK_ELEMS) & (sa * d <= _CHUNK_ELEMS)
     run = todo & fits
     grow = np.where(add_left, children[:, 1], children[:, 0])
     bottom = np.where((grow >= 0) & run[grow], grow, np.arange(m))
@@ -347,7 +359,7 @@ def _run_pass(Y, spans, children, todo, out):
             not cuts
             or head[j] != head[j - 1]
             or (rows + add[j]) * width[j] > _CHUNK_ELEMS
-            or (rows + add[j] + width[j]) * d > _CHUNK_ELEMS
+            or (rows + add[j]) * d > _CHUNK_ELEMS
         ):
             cuts.append(j)
             rows = 0
@@ -370,16 +382,16 @@ def _run_pass(Y, spans, children, todo, out):
         A, B = Y[rowpos], Y[lo:hi]
         factors = None
         if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
-            factors = _screen_factors(np.concatenate((A, B)), R)
+            factors = _row_factors(F, rowpos, lo, hi)
         if factors is None:
             V, screen = cross_distances(A, B), None
         else:
-            L, Rt, E = factors
-            V, screen = np.matmul(L, Rt.T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
+            L, E = factors
+            V, screen = np.matmul(L, F[lo:hi].T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
         if not _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True):
             alone += merges.tolist()  # tied: the candidates would fill the block
     for i in alone:
-        dmin[i], first[i], dmax[i] = _merge_extremes(Y, *spans[i].tolist(), buf)
+        dmin[i], first[i], dmax[i] = _merge_extremes(Y, F, *spans[i].tolist(), buf)
 
 
 @dataclass
@@ -449,13 +461,14 @@ class Dendrogram:
           blocks of _blocks (_merge_extremes).
 
         A block of at least _SCREEN_MIN_ELEMS entries is screened: one
-        GEMM ranks its entries by approximate squared distance
-        (_screen_factors), and cdist recomputes only the rows and columns
-        holding entries within 2E of a merge's approximate minimum or
-        maximum, which contain every entry at the exact extremes, so the
-        result equals a full scan's.  No cdist or GEMM block has more than
-        _CHUNK_ELEMS entries.  The result depends only on topology and
-        points, so it is memoized per PointSet object.
+        GEMM ranks its entries by approximate squared distance, from
+        factors centred once per call (_screen_factors), and cdist
+        recomputes only the rows and columns holding entries within 2E of
+        a merge's approximate minimum or maximum, which contain every
+        entry at the exact extremes, so the result equals a full scan's.
+        No cdist or GEMM block has more than _CHUNK_ELEMS entries.  The
+        result depends only on topology and points, so it is memoized per
+        PointSet object.
         """
         if self._cross is not None and self._cross[0] is points:
             return self._cross[1]
@@ -467,7 +480,7 @@ class Dendrogram:
         out = (dmin, first, dmax)
         children = np.column_stack((self.left, self.right)) - self.n  # merge rows; < 0 for leaves
         children[children < 0] = -1
-        _run_pass(Y, spans, children, ~_tile_pass(Y, spans, children, out), out)
+        _run_pass(Y, _screen_factors(Y), spans, children, ~_tile_pass(Y, spans, children, out), out)
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
         object.__setattr__(self, "_cross", (points, stats))

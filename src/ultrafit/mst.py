@@ -7,7 +7,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointSet, WeightedEdge, canonical_edges, cross_distances
+from .core import PointSet, canonical_edges, cross_distances
 
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts about this many edges per point per batch
 _FILTER_SAMPLE = 1 << 16  # live weights sampled for a batch's threshold
@@ -49,20 +49,9 @@ class SpanningTree:
         if len(self.u) != self.n - 1:
             raise ValueError(f"tree over {self.n} points needs {self.n - 1} edges, got {len(self.u)}")
 
-    def total_weight(self) -> float:
-        return float(self.w.sum())
-
-    def edge_list(self) -> list[WeightedEdge]:
-        return [WeightedEdge(int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)]
-
 
 def _as_edge_arrays(edges):
-    if isinstance(edges, tuple) and len(edges) == 3:
-        u, v, w = edges
-    else:
-        u = np.array([e[0] for e in edges], dtype=np.int64)
-        v = np.array([e[1] for e in edges], dtype=np.int64)
-        w = np.array([e[2] for e in edges], dtype=np.float64)
+    u, v, w = edges
     return np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(w, dtype=np.float64)
 
 
@@ -145,7 +134,7 @@ def _compact(live: np.ndarray, keep) -> np.ndarray:
 def kruskal(n: int, edges) -> SpanningTree:
     """Minimum spanning tree of the given weighted graph.
 
-    Edges may be a list of (u, v, w) tuples or a (u, v, w) array triple.
+    Edges are a (u, v, w) triple of arrays.
     Ties resolve by the canonical (weight, min index, max index) order.
     Raises DisconnectedGraphError naming the components when the edges do
     not span all n points.

@@ -201,6 +201,8 @@ def verify_stretch(points: PointSet, graph: SpannerGraph, sample: int, seed: int
     n*(n-1)/2.  Returns +inf when the graph does not connect the sampled
     pairs (disconnected spanner).
     """
+    if sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     n = points.n
     if n < 2:
         return 1.0

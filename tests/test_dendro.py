@@ -106,7 +106,7 @@ def test_single_linkage_is_tree_path_max():
     d = build_dendrogram(tree, tree.w)
     # brute force path max by BFS on the tree
     adj = [[] for _ in range(p.n)]
-    for a, b, w in tree.edge_list():
+    for a, b, w in zip(tree.u.tolist(), tree.v.tolist(), tree.w.tolist()):
         adj[a].append((b, w))
         adj[b].append((a, w))
     for src in range(p.n):
@@ -306,6 +306,17 @@ def _tiny():
     return p, single_linkage(p)
 
 
+def _far_tight():
+    # a cluster of scale 1e-4 next to one 1e3 away: the centre shared by the
+    # whole tree lies between them, so every squared norm is about 7.5e5 and
+    # E (about 2e-8) exceeds the tight cluster's squared distances
+    rng = np.random.default_rng(36)
+    x = rng.random((400, 3)) * 1e-4
+    x[200:] = 1e3 + rng.random((200, 3))
+    p = PointSet(x)
+    return p, single_linkage(p)
+
+
 def _high_d():
     p = PointSet(np.random.default_rng(33).random((40, 77)))
     return p, single_linkage(p)
@@ -372,7 +383,7 @@ def _spy_entries(monkeypatch, chunk):
     "make",
     [
         _random, _grid, _two, _caterpillar, _duplicates,
-        _offset, _huge, _tiny, _high_d, _big_grid, _grid_chain,
+        _offset, _huge, _tiny, _far_tight, _high_d, _big_grid, _grid_chain,
     ],
     ids=lambda f: f.__name__[1:],
 )
@@ -421,13 +432,14 @@ def _oracle(d, p):
     """The per-merge kernel: every merge reduced on its own through the
     _blocks blocks of _merge_extremes, screened when it is large."""
     Y, spans = d._dfs_layout(p)
+    F = dendro_mod._screen_factors(Y)
     m = len(spans)
     dmin = np.empty(m)
     dmax = np.empty(m)
     first = np.empty((m, 2), dtype=np.int64)
     buf = np.empty(dendro_mod._CHUNK_ELEMS)
     for i, span in enumerate(spans.tolist()):
-        dmin[i], first[i], dmax[i] = dendro_mod._merge_extremes(Y, *span, buf)
+        dmin[i], first[i], dmax[i] = dendro_mod._merge_extremes(Y, F, *span, buf)
     return dendro_mod.CrossStats(dmin, d.leaf_spans()[0][first], dmax)
 
 
@@ -541,7 +553,7 @@ def _spy_blocks(monkeypatch):
     "make",
     [
         _chain_left, _chain_right, _chain_mixed, _runs_mixed, _collinear_left, _collinear_right, _one_hot,
-        _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _high_d,
+        _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _far_tight, _high_d,
     ],
     ids=lambda f: f.__name__[1:],
 )
@@ -578,11 +590,12 @@ def test_tied_high_d_chain_memory_stays_within_blocks():
     # every pairwise distance is sqrt(2) in n dimensions, so single linkage
     # is a caterpillar, one heavy path, and every entry of a run block is
     # a candidate for both extremes.  Such blocks go back to the per-merge
-    # path, and run blocks hold at most _CHUNK_ELEMS coordinates, so the
-    # peak stays within the DFS copy of the coordinates, a few times those
-    # of one block, and two blocks.  Candidate arrays that fill the block
-    # (n = 300) or run blocks of 2^18 entries with 1000 coordinates a row
-    # (n = 1000) each take more.
+    # path, and a run block gathers at most _CHUNK_ELEMS coordinates of its
+    # rows (its columns are views), so the peak stays within the DFS copy
+    # of the coordinates, the screening factors of every row (one more
+    # copy), the candidates' columns of one merge (at most another) and two
+    # blocks.  Candidate arrays that fill the block (n = 300) or run blocks
+    # of 2^18 entries with 1000 coordinates a row (n = 1000) each take more.
     for n in (300, 1000):
         p = PointSet(np.eye(n))
         d = single_linkage(p)
@@ -594,6 +607,24 @@ def test_tied_high_d_chain_memory_stays_within_blocks():
             tracemalloc.stop()
         assert peak < 2 * dendro_mod._CHUNK_ELEMS * 8 + 4 * p.coords.nbytes, n
         assert (stats.dmin == np.sqrt(2.0)).all() and (stats.dmax == np.sqrt(2.0)).all()
+
+
+def test_cross_stats_centres_each_row_once(monkeypatch):
+    # past 2^18 / d leaves a heavy path's merges no longer fit one run
+    # block; each must still read the factors of the one centring
+    p = PointSet(np.random.default_rng(7).random((6000, 77)))
+    d = single_linkage(p)
+    rows = []
+    screen_factors = dendro_mod._screen_factors
+
+    def spy(Y):
+        rows.append(len(Y))
+        return screen_factors(Y)
+
+    monkeypatch.setattr(dendro_mod, "_screen_factors", spy)
+    stats = replace(d, _cross=None).cross_stats(p)
+    assert rows == [p.n]
+    assert (stats.dmin <= stats.dmax).all()
 
 
 def _blobs(n, d, seed):
@@ -614,9 +645,9 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
     alone = []  # spans of the merges reduced on their own
     merge_extremes = dendro_mod._merge_extremes
 
-    def spy(Y, a0, a1, b0, b1, buf):
+    def spy(Y, F, a0, a1, b0, b1, buf):
         alone.append((a0, a1, b0, b1))
-        return merge_extremes(Y, a0, a1, b0, b1, buf)
+        return merge_extremes(Y, F, a0, a1, b0, b1, buf)
 
     monkeypatch.setattr(dendro_mod, "_merge_extremes", spy)
     blocks = _spy_block_extremes(monkeypatch)
@@ -631,5 +662,5 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
         tied = {tuple(spans[i].tolist()) for b in blocks if not b.reduced for i in b.merges}
         for a0, a1, b0, b1 in alone:
             na, nb = a1 - a0, b1 - b0
-            assert na * nb > cap or (na + nb) * p.d > cap or (a0, a1, b0, b1) in tied, algo
+            assert na * nb > cap or min(na, nb) * p.d > cap or (a0, a1, b0, b1) in tied, algo
         _assert_bitwise(got, _oracle(d, p))

@@ -55,20 +55,25 @@ def brute_force_mst_weight(n, edges):
     return best
 
 
+def _edges(tree):
+    """A tree's edge arrays as lists: (u, v, w)."""
+    return tree.u.tolist(), tree.v.tolist(), tree.w.tolist()
+
+
 def test_kruskal_collinear_triangle():
-    tree = kruskal(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
-    assert tree.edge_list() == [(0, 1, 1.0), (1, 2, 2.0)]
+    tree = kruskal(3, ([0, 1, 0], [1, 2, 2], [1.0, 2.0, 3.0]))
+    assert _edges(tree) == ([0, 1], [1, 2], [1.0, 2.0])
 
 
 def test_kruskal_two_points():
-    tree = kruskal(2, [(0, 1, 4.5)])
-    assert tree.edge_list() == [(0, 1, 4.5)]
+    tree = kruskal(2, ([0], [1], [4.5]))
+    assert _edges(tree) == ([0], [1], [4.5])
 
 
 def test_kruskal_unit_square_tie_break():
-    sides = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
+    sides = ([0, 1, 2, 0], [1, 2, 3, 3], [1.0] * 4)
     tree = kruskal(4, sides)
-    assert tree.edge_list() == [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0)]
+    assert _edges(tree) == ([0, 0, 1], [1, 3, 2], [1.0] * 3)
 
 
 def test_kruskal_matches_exhaustive_enumeration():
@@ -77,35 +82,35 @@ def test_kruskal_matches_exhaustive_enumeration():
         p = PointSet(rng.random((n, 2)))
         edges = all_pairs(p)
         tree = kruskal(n, edges)
-        assert tree.total_weight() == pytest.approx(brute_force_mst_weight(n, edges), rel=1e-12)
+        assert tree.w.sum() == pytest.approx(brute_force_mst_weight(n, edges), rel=1e-12)
 
 
 def test_kruskal_disconnected_raises_named_components():
     with pytest.raises(DisconnectedGraphError, match="2 components"):
-        kruskal(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        kruskal(4, ([0, 2], [1, 3], [1.0, 1.0]))
 
 
 def test_connect_components_identity_on_spanning_tree():
-    tree = kruskal(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    tree = kruskal(3, ([0, 1], [1, 2], [1.0, 2.0]))
     repaired = connect_components(COLLINEAR, (tree.u, tree.v, tree.w))
-    assert repaired.edge_list() == tree.edge_list()
+    assert _edges(repaired) == _edges(tree)
 
 
 def test_connect_components_two_singletons():
     p = PointSet([[0.0, 0.0], [1.0, 0.0]])
     tree = connect_components(p, ([], [], []))
-    assert tree.edge_list() == [(0, 1, 1.0)]
+    assert _edges(tree) == ([0], [1], [1.0])
 
 
 def test_connect_components_nearest_cross_pair():
     p = PointSet([[0.0], [1.0], [5.0]])
     tree = connect_components(p, ([0], [1], [1.0]))
-    assert tree.edge_list() == [(0, 1, 1.0), (1, 2, 4.0)]
+    assert _edges(tree) == ([0, 1], [1, 2], [1.0, 4.0])
 
 
 def test_exact_mst_collinear():
     tree = exact_mst(COLLINEAR)
-    assert tree.edge_list() == [(0, 1, 1.0), (1, 2, 2.0)]
+    assert _edges(tree) == ([0, 1], [1, 2], [1.0, 2.0])
 
 
 def test_exact_mst_single_point():
@@ -116,7 +121,7 @@ def test_exact_mst_single_point():
 def test_exact_mst_equilateral_tie_break():
     tree = exact_mst(SIMPLEX)
     w = tree.w[0]
-    assert [(a, b) for a, b, _ in tree.edge_list()] == [(0, 1), (0, 2)]
+    assert (tree.u.tolist(), tree.v.tolist()) == ([0, 0], [1, 2])
     assert (tree.w == w).all()
 
 
@@ -152,8 +157,7 @@ def test_exact_mst_equals_kruskal_on_complete_graph(name):
     p = PointSet(MST_INPUTS[name])
     a = exact_mst(p)
     b = kruskal(p.n, all_pairs(p))
-    assert a.edge_list() == b.edge_list()
-    assert a.w.tobytes() == b.w.tobytes()
+    assert _forest_bytes(a.u, a.v, a.w) == _forest_bytes(b.u, b.v, b.w)
 
 
 def test_mst_weight_not_above_spanner_tree_weight():
@@ -161,7 +165,7 @@ def test_mst_weight_not_above_spanner_tree_weight():
     p = PointSet(rng.random((100, 4)))
     g = build_spanner(p, SpannerConfig(gamma=2.0, seed=1))
     spanner_tree = kruskal(p.n, (g.u, g.v, g.w))
-    assert exact_mst(p).total_weight() <= spanner_tree.total_weight() + 1e-12
+    assert exact_mst(p).w.sum() <= spanner_tree.w.sum() + 1e-12
 
 
 def test_kt_factor_exact_mst_is_one():
@@ -243,7 +247,7 @@ def test_kruskal_batches_match_single_scan(seed):
     forest, comps = _single_scan_kruskal(n, u, v, w)
     assert len(comps) == 1
     tree = kruskal(n, (u, v, w))
-    assert tree.edge_list() == forest
+    assert _forest_bytes(tree.u, tree.v, tree.w) == _forest_bytes(*zip(*forest))
 
 
 def _ordered_weights(order, m, rng):
@@ -292,7 +296,8 @@ def test_kruskal_batches_match_single_scan_on_spanner():
     p = PointSet(np.random.default_rng(5).random((400, 3)))
     g = build_spanner(p, SpannerConfig(gamma=1.5, seed=2))
     forest, _ = _single_scan_kruskal(p.n, g.u, g.v, g.w)
-    assert kruskal(p.n, (g.u, g.v, g.w)).edge_list() == forest
+    tree = kruskal(p.n, (g.u, g.v, g.w))
+    assert _forest_bytes(tree.u, tree.v, tree.w) == _forest_bytes(*zip(*forest))
 
 
 def test_kruskal_disconnected_forest_matches_single_scan():

@@ -116,6 +116,14 @@ def test_stretch_disconnected_is_inf():
     assert verify_stretch(p, g, sample=100) == np.inf
 
 
+@pytest.mark.parametrize("sample", [0, -1])
+def test_stretch_rejects_a_sample_below_one(sample):
+    p = PointSet([[0.0], [1.0], [3.0]])
+    g = build_spanner(p, SpannerConfig(gamma=2.0, seed=0))
+    with pytest.raises(ValueError, match="sample"):
+        verify_stretch(p, g, sample=sample)
+
+
 def test_stretch_within_gamma_on_most_seeds():
     # 100 uniform points in [0,1]^4 at gamma=2: the all-pairs stretch must
     # stay at or below 2 on at least 95 of 100 seeds
