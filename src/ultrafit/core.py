@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+_CHUNK = 1 << 15  # entries that chunks and compact handle at a time
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -27,6 +29,14 @@ class PointSet:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("coordinates must be finite (no NaN/Inf)")
+        # the squared bbox diameter bounds every squared pairwise distance,
+        # every spanner radius and every entry of the kernel's factor arrays
+        with np.errstate(over="ignore"):
+            span = a.max(axis=0) - a.min(axis=0)
+            if not np.isfinite((span * span).sum()):
+                raise ValueError(
+                    "coordinates too far apart: the squared bounding-box diameter overflows float64"
+                )
         a = a + 0.0  # normalize -0.0 so duplicate detection is value-based
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
@@ -130,3 +140,26 @@ def canonical_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         run = np.cumsum(starts)[pos]
         order[pos] = sub[np.lexsort((sub, hi[sub], lo[sub], run))]
     return lo[order], hi[order], w[order]
+
+
+def index_dtype(count: int) -> type:
+    """int32 when it holds every index below count, else int64: the width
+    of spanner endpoints and of kruskal's live-edge index."""
+    return np.int32 if count < 2**31 else np.int64
+
+
+def chunks(a):
+    """a in consecutive views of at most _CHUNK entries."""
+    return (a[s : s + _CHUNK] for s in range(0, len(a), _CHUNK))
+
+
+def compact(a: np.ndarray, keep) -> np.ndarray:
+    """Compact a in place, one chunk at a time, to the entries that
+    keep(chunk) marks, and return that prefix.  Order is kept; keep sees the
+    chunks in order, each before anything is written over it."""
+    kept = 0
+    for part in chunks(a):
+        part = part[keep(part)]
+        a[kept : kept + len(part)] = part
+        kept += len(part)
+    return a[:kept]

@@ -7,11 +7,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointSet, canonical_edges, cross_distances
+from .core import PointSet, canonical_edges, chunks, compact, cross_distances, index_dtype
 
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts about this many edges per point per batch
 _FILTER_SAMPLE = 1 << 16  # live weights sampled for a batch's threshold
-_FILTER_CHUNK = 1 << 15  # live edges filtered at a time
 
 
 class DisconnectedGraphError(ValueError):
@@ -51,8 +50,10 @@ class SpanningTree:
 
 
 def _as_edge_arrays(edges):
+    """(u, v, w) as arrays; endpoints keep their integer dtype, so int32
+    ones are not copied into int64 (canonical_edges widens each batch)."""
     u, v, w = edges
-    return np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(w, dtype=np.float64)
+    return np.asarray(u), np.asarray(v), np.asarray(w, dtype=np.float64)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -105,30 +106,29 @@ def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:
     return cnt
 
 
-def _threshold(w: np.ndarray, live: np.ndarray, limit: int) -> float:
-    """A weight that about `limit` of the live edges do not exceed, read
-    from a strided sample of at most about _FILTER_SAMPLE live weights (all
-    of them when that many are live): NaN when the sample puts only NaN
-    weights, which sort last, there."""
-    sample = w.take(live[:: max(1, len(live) // _FILTER_SAMPLE)])
-    k = max(0, limit * len(sample) // len(live) - 1)
+def _threshold(w: np.ndarray, live, limit: int) -> float:
+    """A weight that about `limit` of the live edges (every edge when live
+    is None) do not exceed, read from a strided sample of at most about
+    _FILTER_SAMPLE live weights (all of them when that many are live).
+    NaN when at most `limit` edges are live, or when the sample puts only
+    NaN weights, which sort last, there."""
+    count = len(w) if live is None else len(live)
+    if count <= limit:
+        return np.nan
+    step = max(1, count // _FILTER_SAMPLE)
+    sample = w[::step] if live is None else w.take(live[::step])
+    k = max(0, limit * len(sample) // count - 1)
     return np.partition(sample, k)[k]
 
 
-def _chunks(live: np.ndarray):
-    """live in consecutive views of at most _FILTER_CHUNK entries."""
-    return (live[s : s + _FILTER_CHUNK] for s in range(0, len(live), _FILTER_CHUNK))
-
-
-def _compact(live: np.ndarray, keep) -> np.ndarray:
-    """Compact live in place, one chunk at a time, to the ids that keep(ids)
-    marks, and return that prefix.  Order is kept."""
-    kept = 0
-    for ids in _chunks(live):
-        ids = ids[keep(ids)]
-        live[kept : kept + len(ids)] = ids
-        kept += len(ids)
-    return live[:kept]
+def _live_chunks(w: np.ndarray, live):
+    """The live edge ids in consecutive arrays of a chunk each.  While live
+    is None every edge is live, and each chunk's ids are made as it is
+    read, so no index over all the edges exists."""
+    if live is not None:
+        return chunks(live)
+    dtype = index_dtype(len(w))
+    return (np.arange(r.start, r.stop, dtype=dtype) for r in chunks(range(len(w))))
 
 
 def kruskal(n: int, edges) -> SpanningTree:
@@ -145,32 +145,39 @@ def kruskal(n: int, edges) -> SpanningTree:
     the next batch, edges whose endpoints are already joined are dropped.
     Every batch is a prefix of the canonical order of what remains, so the
     tree equals that of one scan over all sorted edges, wherever the
-    thresholds fall.  Live edges are held as an index array and filtered
-    in chunks, and only a batch's edges are gathered, so the input is the
-    only edge-sized array besides that index.
+    thresholds fall.  The first batch is read from the weights in chunks;
+    after its scan, the live edges are an index array over what that scan
+    left, filtered in chunks.  Only a batch's edges are gathered, and
+    integer endpoints keep their dtype, so the input is the only edge-sized
+    array.
     """
     u, v, w = _as_edge_arrays(edges)
-    if n == 1:
-        return SpanningTree(n=1, u=u[:0], v=v[:0], w=w[:0])
     parent = np.arange(n, dtype=np.int64)
     tu = np.empty(n - 1, dtype=np.int64)
     tv = np.empty(n - 1, dtype=np.int64)
     tw = np.empty(n - 1, dtype=np.float64)
     cnt = 0
     limit = _FILTER_EDGES_PER_POINT * n
-    live = np.arange(len(w), dtype=np.int32 if len(w) < 2**31 else np.int64)
-    while len(live) and cnt < n - 1:
-        thr = _threshold(w, live, limit) if len(live) > limit else np.nan
+    live = None  # every edge, until the first scan
+    while cnt < n - 1:
+        thr = _threshold(w, live, limit)
         if np.isnan(thr):  # the rest fits one batch, or only NaN weights are left
-            batch, live = live, live[:0]
+            batch = np.arange(len(w)) if live is None else live
         else:
-            batch = np.concatenate([ids[w.take(ids) <= thr] for ids in _chunks(live)])
+            batch = np.concatenate([ids[w.take(ids) <= thr] for ids in _live_chunks(w, live)])
         cnt = _scan(parent, *canonical_edges(u.take(batch), v.take(batch), w.take(batch)), tu, tv, tw, cnt)
-        if cnt == n - 1:
+        if cnt == n - 1 or np.isnan(thr):
             break
         # drop the edges whose endpoints the scans have joined, the batch's too
         roots = _roots(parent)
-        live = _compact(live, lambda ids: roots.take(u.take(ids)) != roots.take(v.take(ids)))
+
+        def unjoined(ids):
+            return roots.take(u.take(ids)) != roots.take(v.take(ids))
+
+        if live is None:
+            live = np.concatenate([ids[unjoined(ids)] for ids in _live_chunks(w, live)])
+        else:
+            live = compact(live, unjoined)
     if cnt < n - 1:
         roots = _roots(parent)
         comps = [np.flatnonzero(roots == r).tolist() for r in np.unique(roots)]

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import PointSet, edge_distances, paired_distances
+from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired_distances
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 
@@ -53,7 +53,9 @@ class SpannerConfig:
 
 @dataclass
 class SpannerGraph:
-    """Deduplicated edge list over n points; weights are true distances."""
+    """Deduplicated edge list over n points, u < v in ascending (u, v)
+    order; endpoints are int32 below 2**31 points (core.index_dtype) and
+    weights are true distances."""
 
     n: int
     u: np.ndarray
@@ -68,9 +70,8 @@ class SpannerGraph:
 def estimate_scales(points: PointSet, config: SpannerConfig) -> list[float]:
     """Geometric radius ladder r_0 > r_1 > ... starting at the bbox diameter.
 
-    Halving ratio, truncated after max_scales levels or once a radius drops
-    below r_0 / 2**max_scales.  A single point (or an all-duplicates set
-    with zero bbox diameter) yields an empty ladder.
+    Halving ratio, truncated after max_scales levels.  A single point (or an
+    all-duplicates set with zero bbox diameter) yields an empty ladder.
     """
     if points.n < 2:
         return []
@@ -78,12 +79,9 @@ def estimate_scales(points: PointSet, config: SpannerConfig) -> list[float]:
     r0 = float(np.sqrt((span * span).sum()))
     if r0 == 0.0:
         return []
-    floor_r = r0 / 2.0**config.max_scales
     scales = []
     r = r0
     for _ in range(config.max_scales):
-        if r < floor_r:
-            break
         scales.append(r)
         r /= 2.0
     return scales
@@ -107,16 +105,14 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     bucket, realized as a star on the lowest-index point.
     """
     n, d = points.n, points.d
-    empty = np.empty(0, dtype=np.int64)
-    if n < 2:
-        return SpannerGraph(n=n, u=empty, v=empty.copy(), w=np.empty(0))
     X = points.coords
     k, reps = config.resolved(n)
     scales = estimate_scales(points, config)
 
-    # each scale's pairs, deduplicated when the scale ends, so the raw
-    # pairs of only one scale are held at a time
-    scale_pairs = [np.arange(1, n, dtype=np.uint64)]  # coarsest-scale star on point 0
+    # the sorted distinct pairs of the scales so far; each scale's pairs are
+    # deduplicated and folded in when the scale ends, so only the union and
+    # the raw pairs of one scale are held at a time
+    union = np.arange(1, n, dtype=np.uint64)  # coarsest-scale star on point 0
     bound = np.empty(n, dtype=bool)
     bound[0] = True
     for si in range(1, len(scales)):
@@ -169,29 +165,46 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
             b = np.maximum(seg[m], centers[m]).astype(np.uint64)
             pieces.append((a << np.uint64(32)) | b)
         if pieces:
-            packed = np.concatenate(pieces)
+            scale = _sorted_unique(np.concatenate(pieces))
             pieces.clear()
-            scale_pairs.append(_sorted_unique(packed))
+            # two sorted runs, which a stable sort merges in linear time
+            union = _sorted_unique(np.concatenate((union, scale)), kind="stable")
+            del scale  # frees its raw buffer before the next scale fills pieces
         if nontrivial == 0:
             break  # every bucket is a singleton: finer scales stay trivial
 
-    packed = np.concatenate(scale_pairs)
-    scale_pairs.clear()
-    packed = _sorted_unique(packed)
-    u = (packed >> np.uint64(32)).view(np.int64)
-    packed &= np.uint64(0xFFFFFFFF)
-    v = packed.view(np.int64)
+    u, v = _unpack(union, index_dtype(n))
+    del union
     return SpannerGraph(n=n, u=u, v=v, w=edge_distances(X, u, v))
 
 
-def _sorted_unique(packed: np.ndarray) -> np.ndarray:
-    """The distinct values of packed, ascending; packed is sorted in place.
-    Far faster than np.unique's hash table."""
-    packed.sort()
-    keep = np.empty(len(packed), dtype=bool)
-    keep[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-    return packed[keep]
+def _sorted_unique(packed: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """The distinct values of packed, ascending: packed is sorted (by
+    np.sort's kind) and compacted in place, and a prefix view of it is
+    returned.  Far faster than np.unique's hash table."""
+    packed.sort(kind=kind)
+    last = None  # the value before the chunk that compact passes next
+
+    def first_of_run(part):
+        nonlocal last
+        keep = np.empty(len(part), dtype=bool)
+        keep[0] = last is None or part[0] != last
+        np.not_equal(part[1:], part[:-1], out=keep[1:])
+        last = part[-1]
+        return keep
+
+    return compact(packed, first_of_run)
+
+
+def _unpack(packed: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The halves a and b of packed (a << 32) | b keys, as two arrays of
+    dtype written a chunk at a time, with no key-sized temporary."""
+    a = np.empty(len(packed), dtype=dtype)
+    b = np.empty_like(a)
+    for keys, ca, cb in zip(chunks(packed), chunks(a), chunks(b)):
+        np.right_shift(keys, np.uint64(32), out=ca, casting="unsafe")
+        np.bitwise_and(keys, np.uint64(0xFFFFFFFF), out=cb, casting="unsafe")
+    return a, b
 
 
 def verify_stretch(points: PointSet, graph: SpannerGraph, sample: int, seed: int = 0) -> float:

@@ -82,6 +82,18 @@ def test_fit_non_finite_rejected(tmp_path):
     assert main(["fit", "--input", csv, "--algo", "exact"]) == 2
 
 
+@pytest.mark.parametrize("algo", ["approx", "exact", "average"])
+def test_fit_rejects_coordinates_whose_distances_overflow(tmp_path, capsys, algo):
+    # finite coordinates whose pairwise distances exceed float64: approx used
+    # to write NaN scale and distortion, exact and average to fail inside
+    x = np.random.default_rng(0).random((50, 4)) * 1e160
+    csv = write(tmp_path, "far.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+    out = str(tmp_path / "dendro.txt")
+    assert main(["fit", "--normalize", "--algo", algo, "--input", csv, "--out", out]) == EXIT_BAD_INPUT
+    assert "squared bounding-box diameter overflows" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_parse_csv_header_autodetect_and_crlf(tmp_path):
     csv = write(tmp_path, "h.csv", "x,y\r\n0.0,0.0\r\n1.0,0.0\r\n")
     pts = parse_points_csv(csv)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,26 @@ def test_pointset_validation():
         PointSet([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         PointSet([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [[0.0, 0.0], [1e154, 1e154]],  # each squared span is finite, their sum 2e308 is not
+        np.random.default_rng(0).random((50, 4)) * 1e160,
+        [[-1e308], [1e308]],  # the span itself overflows
+    ],
+    ids=["two-points", "uniform-1e160", "span"],
+)
+def test_pointset_rejects_an_overflowing_diameter(coords):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a clean ValueError, no overflow warning first
+        with pytest.raises(ValueError, match="squared bounding-box diameter overflows"):
+            PointSet(coords)
+
+
+def test_pointset_accepts_a_finite_squared_diameter():
+    assert PointSet([[0.0, 0.0], [9e153, 9e153]]).n == 2  # squared diameter 1.62e308
 
 
 def test_pointset_immutable():

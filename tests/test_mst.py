@@ -15,6 +15,7 @@ from ultrafit import (
     kt_factor,
     verify_stretch,
 )
+from ultrafit import core as core_mod
 from ultrafit import mst as mst_mod
 from ultrafit.core import cross_distances
 
@@ -250,6 +251,22 @@ def test_kruskal_batches_match_single_scan(seed):
     assert _forest_bytes(tree.u, tree.v, tree.w) == _forest_bytes(*zip(*forest))
 
 
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_kruskal_in_small_chunks_matches_single_scan(chunk, monkeypatch):
+    # the first batch's chunks of ids, the index built from its survivors and
+    # the later compactions all work a chunk at a time
+    monkeypatch.setattr(core_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    n = 120
+    u, v, w = _tie_heavy_graph(rng, n, 30 * n)
+    u = np.concatenate([u, np.arange(n - 1)])
+    v = np.concatenate([v, np.arange(1, n)])
+    w = np.concatenate([w, np.full(n - 1, 100.0)])
+    forest, _ = _single_scan_kruskal(n, u, v, w)
+    tree = kruskal(n, (u.astype(np.int32), v.astype(np.int32), w))
+    assert _forest_bytes(tree.u, tree.v, tree.w) == _forest_bytes(*zip(*forest))
+
+
 def _ordered_weights(order, m, rng):
     if order == "equal":
         return np.ones(m)
@@ -325,10 +342,24 @@ def _blobs(n, d, seed):
     return centers[rng.integers(0, 10, n)] + rng.standard_normal((n, d)) * 0.35
 
 
+def test_kruskal_on_int32_endpoints_equals_int64():
+    # spanner endpoints are int32 and kruskal reads them without widening;
+    # the tree must be the one the same edges give as int64
+    p = PointSet(_blobs(3000, 16, 2))
+    g = build_spanner(p, SpannerConfig(gamma=2.5, seed=4))
+    assert g.u.dtype == g.v.dtype == np.int32
+    assert g.edge_count > 10 * mst_mod._FILTER_EDGES_PER_POINT * p.n  # several batches
+    narrow = kruskal(p.n, (g.u, g.v, g.w))
+    wide = kruskal(p.n, (g.u.astype(np.int64), g.v.astype(np.int64), g.w))
+    assert narrow.u.dtype == narrow.v.dtype == np.int64
+    assert _forest_bytes(narrow.u, narrow.v, narrow.w) == _forest_bytes(wide.u, wide.v, wide.w)
+
+
 def test_kruskal_memory_is_an_index_per_edge():
-    # beside the input graph, kruskal holds one int32 index per live edge
-    # and the working arrays of one batch of about 4n edges, which scale
-    # with the points: no copy of the edge arrays or their weights
+    # beside the input graph, kruskal holds the working arrays of one batch
+    # of about 4n edges, which scale with the points, and one int32 index per
+    # edge that the first batch's scan leaves live (about half here): no copy
+    # of the edge arrays or their weights, and no index over every edge
     p = PointSet(_blobs(3000, 16, 1))
     g = build_spanner(p, SpannerConfig(gamma=2.5, seed=1))
     tracemalloc.start()
@@ -337,4 +368,4 @@ def test_kruskal_memory_is_an_index_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * g.edge_count + 4 * p.coords.nbytes
+    assert peak < 5 * g.edge_count + 4 * p.coords.nbytes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ultrafit import PointSet, SpannerConfig, build_spanner, estimate_scales, verify_stretch
+from ultrafit import core as core_mod
 from ultrafit.core import paired_distances
 from ultrafit.spanner import _stream
 
@@ -47,6 +48,7 @@ def test_two_points_single_edge_any_seed(seed):
 def test_single_point_empty_graph():
     g = build_spanner(PointSet([[3.0, 3.0]]), SpannerConfig())
     assert g.edge_count == 0
+    assert g.u.dtype == g.v.dtype == np.int32
 
 
 def test_edge_weights_are_true_distances():
@@ -219,11 +221,25 @@ def test_build_spanner_matches_reference_loop(coords, gamma):
         assert (g.w == paired_distances(p.coords[ru], p.coords[rv])).all()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_build_spanner_in_small_chunks_matches_reference_loop(chunk, monkeypatch):
+    # the dedup, the fold into the running union and the unpacking work a
+    # chunk at a time; runs of equal pairs and keys cross chunk boundaries
+    monkeypatch.setattr(core_mod, "_CHUNK", chunk)
+    p = PointSet(np.random.default_rng(1).random((300, 4)))
+    cfg = SpannerConfig(gamma=2.0, seed=1)
+    g = build_spanner(p, cfg)
+    ru, rv = _reference_spanner_pairs(p, cfg)
+    assert g.edge_count == len(ru)
+    assert (g.u == ru).all() and (g.v == rv).all()
+
+
 def test_build_spanner_memory_is_the_deduplicated_graph():
-    # the output holds 24 bytes per unique edge (u, v, w); the raw pairs of
-    # all scales, about 1.4 times the unique ones here, are never held at
-    # once, so the peak stays within a third more than the output plus a
-    # few copies of the coordinates
+    # the output holds 16 bytes per unique edge (int32 u and v, float64 w).
+    # The raw pairs of all scales, about 1.4 times the unique ones here, are
+    # never held at once, nor is a list of every scale's distinct pairs: each
+    # scale's are folded into one running union, so the peak stays within a
+    # quarter more than the output plus a few copies of the coordinates
     rng = np.random.default_rng(1)
     centers = rng.random((10, 16)) * 6.0
     p = PointSet(centers[rng.integers(0, 10, 3000)] + rng.standard_normal((3000, 16)) * 0.35)
@@ -233,4 +249,4 @@ def test_build_spanner_memory_is_the_deduplicated_graph():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * g.edge_count + 4 * p.coords.nbytes
+    assert peak < 20 * g.edge_count + 4 * p.coords.nbytes
