@@ -39,6 +39,28 @@ def _lw_update(method, d_ak, d_bk, d_ab, sa, sb, sk):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def _check_ward_range(points: PointSet) -> None:
+    """Refuse inputs on which ward's update can overflow float64.
+
+    A ward height between clusters A and B is the centroid distance times
+    sqrt(2|A||B| / (|A| + |B|)), and that factor is at most sqrt(n).  The
+    squared bounding-box diameter D2 bounds every squared distance between
+    points, hence between centroids, so every squared height is at most
+    n * D2.  The update sums (|A| + |K|) d_AK^2 + (|B| + |K|) d_BK^2 with
+    |A| + |B| + 2|K| <= 2n, so no intermediate exceeds 2 * n^2 * D2.
+    """
+    n = points.n
+    span = points.coords.max(axis=0) - points.coords.min(axis=0)
+    diam2 = float((span * span).sum())
+    limit = np.finfo(np.float64).max / (2.0 * n * n)
+    if diam2 > limit:
+        raise ValueError(
+            f"ward linkage would overflow float64: the squared bounding-box diameter "
+            f"{diam2:.3g} exceeds {limit:.3g}, the most its update takes at n = {n}; "
+            f"scale the coordinates down"
+        )
+
+
 def agglomerate(points: PointSet, method: str) -> Dendrogram:
     """Nearest-neighbor-chain agglomeration under the given linkage rule."""
     if method not in METHODS:
@@ -46,6 +68,8 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
     n = points.n
     if n == 1:
         return from_merge_rows(1, [], [], [])
+    if method == "ward":
+        _check_ward_range(points)
     D = cross_distances(points.coords, points.coords)
     np.fill_diagonal(D, np.inf)
     active = np.ones(n, dtype=bool)
@@ -76,10 +100,8 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         D[a, :] = new
         D[:, a] = new
         D[a, a] = np.inf
-        active[b] = False
+        active[b] = False  # masks slot b's stale row and column
         sizes[a] += sizes[b]
-        D[b, :] = np.inf
-        D[:, b] = np.inf
 
     # the slot pairs form a spanning tree of the points, in merge order;
     # build_dendrogram's stable sort by height keeps that order on ties

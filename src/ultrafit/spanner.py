@@ -7,7 +7,14 @@ the output is connected for every seed.
 """
 
 import math
+import multiprocessing
+# imported with the module rather than by the first pool, whose fit would
+# count the import in its peak memory
+import multiprocessing.pool  # noqa: F401
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -16,6 +23,14 @@ from scipy.sparse.csgraph import dijkstra
 from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired_distances
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
+# n * d from which the scales run in worker processes.  On 2 cores, serial
+# against pool took 146 vs 134 ms at 1000x16 and 70 vs 76 ms at 200x77
+_POOL_MIN_COORDS = 2**14
+# rows per X @ proj block.  OpenBLAS threads a product by its size, and
+# whole-matrix products on two workers oversubscribe two cores: on uniform
+# 20,000x16 under OpenBLAS's default threads the spanner took 3.3-3.5 s
+# without blocks and 1.7 s with them
+_PROJ_ROWS = 4096
 
 
 @dataclass
@@ -94,6 +109,112 @@ def _stream(seed: int, scale_index: int, rep: int) -> np.random.Generator:
     )
 
 
+def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: int):
+    """The repetitions of scale si: the number of non-trivial ones (some
+    bucket holds two or more points) and the scale's sorted distinct pairs,
+    packed (a << 32) | b, or None when the scale adds no pair."""
+    n, d = X.shape
+    k, reps = config.resolved(n)
+    width = config.gamma * scales[si]
+    bound = np.empty(n, dtype=bool)
+    bound[0] = True
+    cells = np.empty((n, k))
+    nontrivial = 0
+    pieces = []
+    for t in range(reps):
+        rng = _stream(config.seed, si, t)
+        proj = rng.standard_normal((d, k))
+        offset = rng.random(k)
+        mixer = rng.integers(1, 2**62, size=k, dtype=np.int64) * 2 + 1
+        # test_spanner checks the edges against a loop over one X @ proj
+        for s in range(0, n, _PROJ_ROWS):
+            np.matmul(X[s : s + _PROJ_ROWS], proj, out=cells[s : s + _PROJ_ROWS])
+        cells /= width
+        cells += offset
+        np.floor(cells, out=cells)
+        # unsigned, so the hash wraps modulo 2**64 by definition
+        key = cells.astype(np.int64).view(np.uint64) @ mixer.view(np.uint64)
+        order = np.argsort(key)
+        sk = key[order]
+        np.not_equal(sk[1:], sk[:-1], out=bound[1:])
+        starts = np.flatnonzero(bound)
+        if len(starts) == n:
+            continue  # all buckets singleton at this repetition
+        nontrivial += 1
+        lengths = np.diff(starts, append=n)
+        # skip singletons and the degenerate full bucket (already a star)
+        keep = (lengths >= 2) & (lengths < n)
+        if not keep.any():
+            continue
+        lens = lengths[keep]
+        # members of each bucket in ascending index order, which fixes the
+        # summation order of the bucket means
+        shift = np.repeat(np.flatnonzero(keep) * n, lens)
+        seg = order[np.repeat(keep, lengths)] + shift
+        seg.sort()
+        seg -= shift
+        st = np.zeros(len(lens), dtype=np.int64)
+        np.cumsum(lens[:-1], out=st[1:])
+        xs = np.take(X, seg, axis=0)
+        means = np.add.reduceat(xs, st, axis=0) / lens[:, None]
+        xs -= np.repeat(means, lens, axis=0)
+        xs *= xs
+        d2 = xs.sum(axis=1)
+        best = np.minimum.reduceat(d2, st)
+        pos = np.flatnonzero(d2 == np.repeat(best, lens))
+        first = pos[np.searchsorted(pos, st)]
+        centers = np.repeat(seg[first], lens)
+        m = seg != centers
+        a = np.minimum(seg[m], centers[m]).astype(np.uint64)
+        b = np.maximum(seg[m], centers[m]).astype(np.uint64)
+        pieces.append((a << np.uint64(32)) | b)
+    return nontrivial, (_sorted_unique(np.concatenate(pieces)) if pieces else None)
+
+
+def _worker_count(n_coords: int, scale_count: int) -> int:
+    """Processes to run scale_count scales in: one (serial) below the
+    crossover, without fork, on one usable CPU, or inside a daemonic
+    process, which may not start children."""
+    if (
+        n_coords < _POOL_MIN_COORDS
+        or not hasattr(os, "sched_getaffinity")
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), scale_count)
+
+
+_adopted = None  # a pool worker's job, set by _adopt in the worker alone
+
+
+def _adopt(job):
+    global _adopted
+    _adopted = job
+
+
+def _run_adopted(si: int):
+    return _adopted(si)
+
+
+@contextmanager
+def _scale_results(job, scale_count: int, n_coords: int):
+    """job(si) for si = 1 .. scale_count, in order: from a pool of forked
+    workers, which inherit job and compute ahead of the caller, or from the
+    builtin map.  No worker outlives the block."""
+    scale_ids = range(1, scale_count + 1)
+    workers = _worker_count(n_coords, scale_count)
+    if workers < 2:
+        yield map(job, scale_ids)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_adopt, initargs=(job,))
+    try:
+        yield pool.imap(_run_adopted, scale_ids)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     """Build the multi-scale bucket graph. Deterministic in (points, config).
 
@@ -102,76 +223,27 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     cell width gamma * r.  Within each bucket, all members connect to the
     member closest to the bucket mean.  The coarsest scale r_0 needs no
     hashing: its cell width >= the bbox diameter, so all points share one
-    bucket, realized as a star on the lowest-index point.
+    bucket, realized as a star on the lowest-index point.  The finer scales
+    are independent, so they run in forked worker processes when n * d
+    makes that pay (_worker_count); the edges are the same either way.
     """
     n, d = points.n, points.d
     X = points.coords
-    k, reps = config.resolved(n)
     scales = estimate_scales(points, config)
 
     # the sorted distinct pairs of the scales so far; each scale's pairs are
-    # deduplicated and folded in when the scale ends, so only the union and
-    # the raw pairs of one scale are held at a time
+    # folded in as they arrive, in scale order, so only the union and one
+    # scale's pairs are held at a time
     union = np.arange(1, n, dtype=np.uint64)  # coarsest-scale star on point 0
-    bound = np.empty(n, dtype=bool)
-    bound[0] = True
-    for si in range(1, len(scales)):
-        width = config.gamma * scales[si]
-        nontrivial = 0
-        pieces = []
-        for t in range(reps):
-            rng = _stream(config.seed, si, t)
-            proj = rng.standard_normal((d, k))
-            offset = rng.random(k)
-            mixer = rng.integers(1, 2**62, size=k, dtype=np.int64) * 2 + 1
-            cells = X @ proj
-            cells /= width
-            cells += offset
-            np.floor(cells, out=cells)
-            # unsigned, so the hash wraps modulo 2**64 by definition
-            key = cells.astype(np.int64).view(np.uint64) @ mixer.view(np.uint64)
-            order = np.argsort(key)
-            sk = key[order]
-            np.not_equal(sk[1:], sk[:-1], out=bound[1:])
-            starts = np.flatnonzero(bound)
-            if len(starts) == n:
-                continue  # all buckets singleton at this repetition
-            nontrivial += 1
-            lengths = np.diff(starts, append=n)
-            # skip singletons and the degenerate full bucket (already a star)
-            keep = (lengths >= 2) & (lengths < n)
-            if not keep.any():
-                continue
-            lens = lengths[keep]
-            # members of each bucket in ascending index order, which fixes the
-            # summation order of the bucket means
-            shift = np.repeat(np.flatnonzero(keep) * n, lens)
-            seg = order[np.repeat(keep, lengths)] + shift
-            seg.sort()
-            seg -= shift
-            st = np.zeros(len(lens), dtype=np.int64)
-            np.cumsum(lens[:-1], out=st[1:])
-            xs = np.take(X, seg, axis=0)
-            means = np.add.reduceat(xs, st, axis=0) / lens[:, None]
-            xs -= np.repeat(means, lens, axis=0)
-            xs *= xs
-            d2 = xs.sum(axis=1)
-            best = np.minimum.reduceat(d2, st)
-            pos = np.flatnonzero(d2 == np.repeat(best, lens))
-            first = pos[np.searchsorted(pos, st)]
-            centers = np.repeat(seg[first], lens)
-            m = seg != centers
-            a = np.minimum(seg[m], centers[m]).astype(np.uint64)
-            b = np.maximum(seg[m], centers[m]).astype(np.uint64)
-            pieces.append((a << np.uint64(32)) | b)
-        if pieces:
-            scale = _sorted_unique(np.concatenate(pieces))
-            pieces.clear()
-            # two sorted runs, which a stable sort merges in linear time
-            union = _sorted_unique(np.concatenate((union, scale)), kind="stable")
-            del scale  # frees its raw buffer before the next scale fills pieces
-        if nontrivial == 0:
-            break  # every bucket is a singleton: finer scales stay trivial
+    job = partial(_scale_pairs, X, config, scales)
+    with _scale_results(job, len(scales) - 1, n * d) as results:
+        for nontrivial, scale in results:
+            if scale is not None:
+                # two sorted runs, which a stable sort merges in linear time
+                union = _sorted_unique(np.concatenate((union, scale)), kind="stable")
+            del scale  # frees its buffer before the next scale fills its own
+            if nontrivial == 0:
+                break  # every bucket is a singleton: finer scales stay trivial
 
     u, v = _unpack(union, index_dtype(n))
     del union

@@ -94,6 +94,21 @@ def test_fit_rejects_coordinates_whose_distances_overflow(tmp_path, capsys, algo
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("scale", [1e153, 4e153])
+def test_fit_ward_refuses_coordinates_its_update_overflows(tmp_path, capsys, scale):
+    # the squared diameter is finite, but ward's size-weighted squares are
+    # not: it used to warn and fail on a garbled merge list
+    x = np.random.default_rng(0).random((50, 4)) * scale
+    csv = write(tmp_path, "far.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+    out = str(tmp_path / "dendro.txt")
+    assert main(["fit", "--normalize", "--algo", "ward", "--input", csv, "--out", out]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "ward linkage would overflow float64" in err
+    assert not os.path.exists(out)
+    for algo in ("average", "approx"):
+        assert main(["fit", "--normalize", "--algo", algo, "--input", csv, "--out", out]) == 0
+
+
 def test_parse_csv_header_autodetect_and_crlf(tmp_path):
     csv = write(tmp_path, "h.csv", "x,y\r\n0.0,0.0\r\n1.0,0.0\r\n")
     pts = parse_points_csv(csv)

@@ -59,6 +59,24 @@ def test_ward_singleton_merges_report_distance():
     assert d.height[1] == 2.0
 
 
+@pytest.mark.parametrize("scale", [1e153, 4e153])
+def test_ward_refuses_inputs_its_update_overflows(scale):
+    p = PointSet(np.random.default_rng(0).random((50, 4)) * scale)
+    with pytest.raises(ValueError, match="ward linkage would overflow"):
+        agglomerate(p, "ward")
+    agglomerate(p, "average")  # the other rules take no size-weighted squares
+
+
+def test_ward_near_its_bound_scales_exactly():
+    # a power-of-two scale is exact in every float operation, so heights scale
+    # bit for bit; 2**500 (about 3e150) leaves ward within its bound
+    x = np.random.default_rng(0).random((50, 4))
+    base = agglomerate(PointSet(x), "ward")
+    far = agglomerate(PointSet(x * 2.0**500), "ward")
+    assert (far.left == base.left).all() and (far.right == base.right).all()
+    assert (far.height == base.height * 2.0**500).all()
+
+
 def test_ward_matches_known_chain():
     # 4 points on a line; ward recurrence computed by hand
     p = PointSet([[0.0], [1.0], [5.0], [6.0]])

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,8 +9,9 @@ import pytest
 
 from ultrafit import PointSet, SpannerConfig, build_spanner, estimate_scales, verify_stretch
 from ultrafit import core as core_mod
+from ultrafit import spanner as spanner_mod
 from ultrafit.core import paired_distances
-from ultrafit.spanner import _stream
+from ultrafit.spanner import _scale_pairs, _stream, _worker_count
 
 
 def test_scales_halve_from_bbox_diameter():
@@ -250,3 +255,74 @@ def test_build_spanner_memory_is_the_deduplicated_graph():
     finally:
         tracemalloc.stop()
     assert peak < 20 * g.edge_count + 4 * p.coords.nbytes
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every build_spanner call runs its scales in worker processes."""
+    monkeypatch.setattr(spanner_mod, "_POOL_MIN_COORDS", 0)
+    if _worker_count(0, 2) < 2:
+        pytest.skip("needs fork and two usable CPUs")
+
+
+@pytest.mark.parametrize(
+    "coords, gamma",
+    [
+        (np.random.default_rng(1).random((300, 4)), 2.0),
+        (np.repeat(np.eye(5) * 4.0, 30, axis=0) + np.random.default_rng(3).random((150, 5)), 2.5),
+    ],
+    ids=["uniform", "blobs"],
+)
+def test_pooled_spanner_matches_serial_and_reference(coords, gamma, pooled, monkeypatch):
+    p = PointSet(coords)
+    cfg = SpannerConfig(gamma=gamma, seed=2)
+    scales = estimate_scales(p, cfg)
+    # the scales run out of non-trivial repetitions before max_scales, so
+    # the pool has computed scales past the break that must be discarded
+    trivial = [si for si in range(1, len(scales)) if _scale_pairs(p.coords, cfg, scales, si)[0] == 0]
+    assert trivial and trivial[0] < len(scales) - 1
+    g = build_spanner(p, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(spanner_mod, "_POOL_MIN_COORDS", float("inf"))
+        serial = build_spanner(p, cfg)
+    for a, b in ((g.u, serial.u), (g.v, serial.v), (g.w, serial.w)):
+        assert a.dtype == b.dtype and (a == b).all()
+    ru, rv = _reference_spanner_pairs(p, cfg)
+    assert (g.u == ru).all() and (g.v == rv).all()
+
+
+def test_pooled_spanner_raises_a_worker_error_and_stops_its_workers(pooled, monkeypatch):
+    def failing(seed, scale_index, rep):
+        if scale_index == 3:
+            raise RuntimeError("hash stream failed at scale 3")
+        return _stream(seed, scale_index, rep)
+
+    monkeypatch.setattr(spanner_mod, "_stream", failing)  # inherited by the forked workers
+    p = PointSet(np.random.default_rng(1).random((300, 4)))
+    with pytest.raises(RuntimeError, match="scale 3"):
+        build_spanner(p, SpannerConfig(gamma=2.0, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_spanner_over_row_blocks_matches_reference_under_blas_threads(pooled):
+    # 5000 rows span two X @ proj blocks; each BLAS setting runs in a fresh
+    # interpreter, since a thread count is fixed when BLAS loads
+    script = (
+        "import numpy as np, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from ultrafit import PointSet, SpannerConfig, build_spanner, spanner\n"
+        "from test_spanner import _reference_spanner_pairs\n"
+        "spanner._POOL_MIN_COORDS = 0\n"
+        "p = PointSet(np.random.default_rng(4).random((5000, 6)))\n"
+        "cfg = SpannerConfig(gamma=2.0, seed=5, reps=6)\n"
+        "g = build_spanner(p, cfg)\n"
+        "ru, rv = _reference_spanner_pairs(p, cfg)\n"
+        "assert len(g.u) == len(ru) and (g.u == ru).all() and (g.v == rv).all()\n"
+    )
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.path.dirname(__file__)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
