@@ -100,8 +100,10 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         D[a, :] = new
         D[:, a] = new
         D[a, a] = np.inf
-        active[b] = False  # masks slot b's stale row and column
+        active[b] = False
         sizes[a] += sizes[b]
+        D[b, :] = np.inf
+        D[:, b] = np.inf
 
     # the slot pairs form a spanning tree of the points, in merge order;
     # build_dendrogram's stable sort by height keeps that order on ties

@@ -8,9 +8,6 @@ the output is connected for every seed.
 
 import math
 import multiprocessing
-# imported with the module rather than by the first pool, whose fit would
-# count the import in its peak memory
-import multiprocessing.pool  # noqa: F401
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,9 +20,16 @@ from scipy.sparse.csgraph import dijkstra
 from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired_distances
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
-# n * d from which the scales run in worker processes.  On 2 cores, serial
-# against pool took 146 vs 134 ms at 1000x16 and 70 vs 76 ms at 200x77
-_POOL_MIN_COORDS = 2**14
+# points from which the scales run in worker processes.  The pool costs
+# 15-35 ms to start and stop, and the rows, more than n * d, set where it
+# pays: on 2 cores (uniform points, medians of 15 alternated builds) serial
+# and pool broke even near 750 rows at d = 2, 1000-1500 at d = 4, 1000 at
+# d = 8, 600-750 at d = 16 and 400-700 at d = 77; the pool lost at every d
+# up to 500 rows (200x16: 71 vs 99 ms) and won at every d from 2000 rows
+_POOL_MIN_ROWS = 1000
+# workers at most: the pool was measured on 2 cores only, and each worker
+# holds a scale's buffers beside the parent's
+_MAX_WORKERS = 2
 # rows per X @ proj block.  OpenBLAS threads a product by its size, and
 # whole-matrix products on two workers oversubscribe two cores: on uniform
 # 20,000x16 under OpenBLAS's default threads the spanner took 3.3-3.5 s
@@ -171,18 +175,18 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
     return nontrivial, (_sorted_unique(np.concatenate(pieces)) if pieces else None)
 
 
-def _worker_count(n_coords: int, scale_count: int) -> int:
-    """Processes to run scale_count scales in: one (serial) below the
-    crossover, without fork, on one usable CPU, or inside a daemonic
-    process, which may not start children."""
+def _worker_count(n: int, scale_count: int) -> int:
+    """Processes to run scale_count scales of n points in: one (serial)
+    below the crossover, without fork, on one usable CPU, or inside a
+    daemonic process, which may not start children."""
     if (
-        n_coords < _POOL_MIN_COORDS
+        n < _POOL_MIN_ROWS
         or not hasattr(os, "sched_getaffinity")
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
         return 1
-    return min(len(os.sched_getaffinity(0)), scale_count)
+    return min(len(os.sched_getaffinity(0)), scale_count, _MAX_WORKERS)
 
 
 _adopted = None  # a pool worker's job, set by _adopt in the worker alone
@@ -198,12 +202,12 @@ def _run_adopted(si: int):
 
 
 @contextmanager
-def _scale_results(job, scale_count: int, n_coords: int):
+def _scale_results(job, scale_count: int, n: int):
     """job(si) for si = 1 .. scale_count, in order: from a pool of forked
     workers, which inherit job and compute ahead of the caller, or from the
     builtin map.  No worker outlives the block."""
     scale_ids = range(1, scale_count + 1)
-    workers = _worker_count(n_coords, scale_count)
+    workers = _worker_count(n, scale_count)
     if workers < 2:
         yield map(job, scale_ids)
         return
@@ -224,10 +228,10 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     member closest to the bucket mean.  The coarsest scale r_0 needs no
     hashing: its cell width >= the bbox diameter, so all points share one
     bucket, realized as a star on the lowest-index point.  The finer scales
-    are independent, so they run in forked worker processes when n * d
-    makes that pay (_worker_count); the edges are the same either way.
+    are independent, so they run in forked worker processes when n makes
+    that pay (_worker_count); the edges are the same either way.
     """
-    n, d = points.n, points.d
+    n = points.n
     X = points.coords
     scales = estimate_scales(points, config)
 
@@ -236,7 +240,7 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     # scale's pairs are held at a time
     union = np.arange(1, n, dtype=np.uint64)  # coarsest-scale star on point 0
     job = partial(_scale_pairs, X, config, scales)
-    with _scale_results(job, len(scales) - 1, n * d) as results:
+    with _scale_results(job, len(scales) - 1, n) as results:
         for nontrivial, scale in results:
             if scale is not None:
                 # two sorted runs, which a stable sort merges in linear time

@@ -257,10 +257,16 @@ def test_build_spanner_memory_is_the_deduplicated_graph():
     assert peak < 20 * g.edge_count + 4 * p.coords.nbytes
 
 
+def test_worker_count_is_serial_below_the_crossover_and_at_most_two():
+    assert _worker_count(spanner_mod._POOL_MIN_ROWS - 1, 31) == 1
+    assert 1 <= _worker_count(10**6, 31) <= 2
+    assert _worker_count(10**6, 1) == 1
+
+
 @pytest.fixture
 def pooled(monkeypatch):
     """Every build_spanner call runs its scales in worker processes."""
-    monkeypatch.setattr(spanner_mod, "_POOL_MIN_COORDS", 0)
+    monkeypatch.setattr(spanner_mod, "_POOL_MIN_ROWS", 0)
     if _worker_count(0, 2) < 2:
         pytest.skip("needs fork and two usable CPUs")
 
@@ -283,7 +289,7 @@ def test_pooled_spanner_matches_serial_and_reference(coords, gamma, pooled, monk
     assert trivial and trivial[0] < len(scales) - 1
     g = build_spanner(p, cfg)
     with monkeypatch.context() as m:
-        m.setattr(spanner_mod, "_POOL_MIN_COORDS", float("inf"))
+        m.setattr(spanner_mod, "_POOL_MIN_ROWS", float("inf"))
         serial = build_spanner(p, cfg)
     for a, b in ((g.u, serial.u), (g.v, serial.v), (g.w, serial.w)):
         assert a.dtype == b.dtype and (a == b).all()
@@ -312,7 +318,7 @@ def test_pooled_spanner_over_row_blocks_matches_reference_under_blas_threads(poo
         "sys.path.insert(0, sys.argv[1])\n"
         "from ultrafit import PointSet, SpannerConfig, build_spanner, spanner\n"
         "from test_spanner import _reference_spanner_pairs\n"
-        "spanner._POOL_MIN_COORDS = 0\n"
+        "spanner._POOL_MIN_ROWS = 0\n"
         "p = PointSet(np.random.default_rng(4).random((5000, 6)))\n"
         "cfg = SpannerConfig(gamma=2.0, seed=5, reps=6)\n"
         "g = build_spanner(p, cfg)\n"
