@@ -19,7 +19,7 @@ from .dendro import (
     to_merge_rows,
     to_newick,
 )
-from .evaluate import DistortionReport, benchmark, distortion
+from .evaluate import DistortionReport, distortion
 from .linkage import METHODS, agglomerate, single_linkage
 from .mst import (
     DisconnectedGraphError,
@@ -46,7 +46,7 @@ __all__ = [
     "approximate_cut_weights", "exact_cut_weights", "kt_factor",
     "Dendrogram", "build_dendrogram", "contract_duplicates", "expand_duplicates", "format_merge_list",
     "from_merge_rows", "normalize", "parse_merge_list", "to_merge_rows", "to_newick",
-    "DistortionReport", "benchmark", "distortion",
+    "DistortionReport", "distortion",
     "METHODS", "agglomerate", "single_linkage",
     "DisconnectedGraphError", "SpanningTree", "connect_components",
     "exact_mst", "kruskal",

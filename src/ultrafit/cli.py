@@ -136,7 +136,7 @@ def _render(dendro, fmt: str, algorithm: str) -> str:
         "n": dendro.n,
         "algorithm": algorithm,
         "merges": [list(r) for r in to_merge_rows(dendro)],
-        "leaf_labels": [int(x) for x in dendro.leaf_labels],
+        "leaf_labels": list(range(dendro.n)),
     }
     return json.dumps(doc, sort_keys=True) + "\n"
 
@@ -242,9 +242,9 @@ def cmd_eval(args) -> int:
             f"dendrogram has {dendro.n} leaves but {args.input} has {points.n} rows",
         )
     unique, groups = dedupe(points)
-    if unique.n != points.n:
-        dendro = contract_duplicates(dendro, groups)
     try:
+        if unique.n != points.n:
+            dendro = contract_duplicates(dendro, groups)
         report = distortion(unique, dendro, normalize_first=args.normalize)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from None

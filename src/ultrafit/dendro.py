@@ -401,7 +401,6 @@ class Dendrogram:
     right: np.ndarray
     height: np.ndarray
     size: np.ndarray
-    leaf_labels: np.ndarray
     _spans: tuple | None = field(default=None, repr=False, compare=False)
     _cross: tuple | None = field(default=None, repr=False, compare=False)  # (points, CrossStats)
 
@@ -531,7 +530,7 @@ class Dendrogram:
         return out
 
 
-def from_merge_rows(n: int, left, right, height, leaf_labels=None) -> Dendrogram:
+def from_merge_rows(n: int, left, right, height) -> Dendrogram:
     """Construct a dendrogram from merge rows already sorted by height.
 
     Row i joins dendrogram nodes left[i] and right[i] (leaves 0..n-1,
@@ -557,12 +556,7 @@ def from_merge_rows(n: int, left, right, height, leaf_labels=None) -> Dendrogram
                 raise ValueError(f"row {i}: child id {c} used twice")
             used[c] = True
         size[node] = size[l] + size[r]
-    if leaf_labels is None:
-        leaf_labels = np.arange(n, dtype=np.int64)
-    return Dendrogram(
-        n=n, left=left, right=right, height=height,
-        size=np.array(size[n:], dtype=np.int64), leaf_labels=np.asarray(leaf_labels),
-    )
+    return Dendrogram(n=n, left=left, right=right, height=height, size=np.array(size[n:], dtype=np.int64))
 
 
 def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
@@ -627,39 +621,25 @@ def expand_duplicates(dendro: Dendrogram, groups: dict[int, list[int]]) -> Dendr
 
     groups maps each dendrogram leaf to the original indices it represents
     (as produced by core.dedupe).  The result is a dendrogram over the
-    original points whose labels are the original indices.
+    original points, whose leaf ids are the original indices: the cartesian
+    tree of a spanning tree that joins each group's first index to its other
+    indices at height 0, then each merge's children through the first index
+    of their first DFS leaves at the merge's height.
     """
     n = dendro.n
     if sorted(groups) != list(range(n)):
         raise ValueError("groups must cover every dendrogram leaf")
-    originals = sorted(x for g in groups.values() for x in g)
-    total = len(originals)
-    if originals != list(range(total)):
+    members = [sorted(groups[i]) for i in range(n)]
+    heads = np.array([g[0] for g in members], dtype=np.int64)
+    copies = np.array([x for g in members for x in g[1:]], dtype=np.int64)
+    total = n + len(copies)
+    if sorted(np.concatenate((heads, copies)).tolist()) != list(range(total)):
         raise ValueError("groups must partition 0..N-1 of the original points")
-    if total == n:
-        relabel = np.array([groups[i][0] for i in range(n)])
-        return from_merge_rows(n, dendro.left, dendro.right, dendro.height, relabel)
-
-    left, right, height = [], [], []
-    node_of = {}  # dendrogram leaf -> current expanded node id
-    next_node = total
-    for i in range(n):
-        g = sorted(groups[i])
-        cur = g[0]
-        for dup in g[1:]:
-            left.append(cur)
-            right.append(dup)
-            height.append(0.0)
-            cur = next_node
-            next_node += 1
-        node_of[i] = cur
-    offset = next_node - n  # old internal ids shift by this much
-    for i in range(n - 1):
-        l, r = int(dendro.left[i]), int(dendro.right[i])
-        left.append(node_of[l] if l < n else l + offset)
-        right.append(node_of[r] if r < n else r + offset)
-        height.append(float(dendro.height[i]))
-    return from_merge_rows(total, left, right, height)
+    order, lo, _ = dendro.leaf_spans()
+    u = np.concatenate((np.repeat(heads, [len(g) - 1 for g in members]), heads[order[lo[dendro.left]]]))
+    v = np.concatenate((copies, heads[order[lo[dendro.right]]]))
+    heights = np.concatenate((np.zeros(len(copies)), dendro.height))
+    return build_dendrogram(SpanningTree(total, u, v, heights), heights)
 
 
 def contract_duplicates(dendro: Dendrogram, groups: dict[int, list[int]]) -> Dendrogram:
@@ -667,33 +647,32 @@ def contract_duplicates(dendro: Dendrogram, groups: dict[int, list[int]]) -> Den
 
     Inverse of expand_duplicates: merges internal to a group vanish, every
     other merge keeps its height.  groups maps each surviving point to the
-    original leaf indices it represents.
+    original leaf indices it represents.  The kept merges are those whose
+    DFS span holds two or more groups; each joins the groups of its
+    children's first DFS leaves.  Raises ValueError when the copies of a
+    point do not form one subtree.
     """
-    n_old = dendro.n
-    n_new = len(groups)
-    new_of_leaf = np.full(n_old, -1, dtype=np.int64)
+    n = dendro.n
+    group = np.full(n, -1, dtype=np.int64)
     for ni, members in groups.items():
-        for x in members:
-            new_of_leaf[x] = ni
-    if (new_of_leaf < 0).any():
+        group[members] = ni
+    if (group < 0).any():
         raise ValueError("groups must cover every leaf")
-    if n_new == n_old:
-        return from_merge_rows(n_old, dendro.left, dendro.right, dendro.height)
-    mapped = np.concatenate([new_of_leaf, np.full(n_old - 1, -1, dtype=np.int64)])
-    left, right, height = [], [], []
-    next_new = n_new
-    for i in range(n_old - 1):
-        l, r = int(dendro.left[i]), int(dendro.right[i])
-        nl, nr = int(mapped[l]), int(mapped[r])
-        if nl == nr:  # both sides are copies of the same surviving point
-            mapped[n_old + i] = nl
-        else:
-            left.append(nl)
-            right.append(nr)
-            height.append(float(dendro.height[i]))
-            mapped[n_old + i] = next_new
-            next_new += 1
-    return from_merge_rows(n_new, left, right, height)
+    order, lo, hi = dendro.leaf_spans()
+    first = group[order[lo]]  # per node: the group of its first DFS leaf
+    # group changes along the DFS order up to each position
+    changes = np.concatenate(([0], np.cumsum(np.diff(group[order]) != 0)))
+    mixed = changes[hi - 1] != changes[lo]  # per node: its span holds 2+ groups
+    kept = np.flatnonzero(mixed[n:])
+    l, r = dendro.left[kept], dendro.right[kept]
+    # a group is one subtree when exactly one unmixed child of a kept merge holds it
+    kids = np.concatenate((l, r))
+    split = np.flatnonzero(np.bincount(first[kids[~mixed[kids]]], minlength=len(groups)) > 1)
+    if len(split):
+        rows = ", ".join(map(str, sorted(groups[int(split[0])])))
+        raise ValueError(f"copies of a duplicate point are separated: rows {rows} (from 0) are not one subtree")
+    heights = dendro.height[kept]
+    return build_dendrogram(SpanningTree(len(groups), first[l], first[r], heights), heights)
 
 
 # -- serialization ----------------------------------------------------------
@@ -737,10 +716,7 @@ def parse_merge_list(text: str, n_leaves: int | None = None) -> Dendrogram:
         raise ValueError(f"merge list has {len(rows)} rows implying {n} leaves, expected {n_leaves}")
     if n == 1:
         return from_merge_rows(1, [], [], [])
-    heights = [r[2] for r in rows]
-    if any(b < a for a, b in zip(heights, heights[1:])):
-        raise ValueError("merge list heights are non-monotone: rows must ascend in height")
-    dendro = from_merge_rows(n, [r[0] for r in rows], [r[1] for r in rows], heights)
+    dendro = from_merge_rows(n, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
     expect = np.array([r[3] for r in rows])
     if (expect != dendro.size).any():
         bad = int(np.flatnonzero(expect != dendro.size)[0])
@@ -754,20 +730,27 @@ def _fmt_branch(x: float) -> str:
 
 
 def to_newick(dendro: Dendrogram, labels=None) -> str:
-    """Newick text; branch length = parent height - child height."""
+    """Newick text; branch length = parent height - child height.  Leaves
+    are labelled by their ids unless labels are given.
+
+    Tokens are emitted from an explicit stack in DFS order and joined once,
+    so time and memory are linear in the text, however deep the tree."""
     n = dendro.n
-    if labels is None:
-        labels = [str(int(x)) for x in dendro.leaf_labels]
+    labels = [str(x) for x in (range(n) if labels is None else labels)]
     if len(labels) != n:
         raise ValueError(f"need {n} labels, got {len(labels)}")
-    if n == 1:
-        return f"{labels[0]};"
-    rendered: list[str] = [str(x) for x in labels]
+    node = labels + list(range(n - 1))  # a leaf's text, or an internal node's merge row
     node_h = np.concatenate([np.zeros(n), dendro.height])
-    for i in range(n - 1):
-        l, r = int(dendro.left[i]), int(dendro.right[i])
-        h = dendro.height[i]
-        bl = _fmt_branch(h - node_h[l])
-        br = _fmt_branch(h - node_h[r])
-        rendered.append(f"({rendered[l]}:{bl},{rendered[r]}:{br})")
-    return rendered[dendro.root] + ";"
+    bl = [f":{_fmt_branch(x)}," for x in (dendro.height - node_h[dendro.left]).tolist()]
+    br = [f":{_fmt_branch(x)})" for x in (dendro.height - node_h[dendro.right]).tolist()]
+    tokens = []
+    stack = [node[dendro.root]]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            tokens.append(x)
+        else:
+            tokens.append("(")
+            stack += (br[x], node[dendro.right[x]], bl[x], node[dendro.left[x]])
+    tokens.append(";")
+    return "".join(tokens)

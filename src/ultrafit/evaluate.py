@@ -1,4 +1,4 @@
-"""Distortion measurement and timing harness.
+"""Distortion measurement.
 
 Distortion is the exact all-pairs statistic max (and min, mean) of
 ultrametric distance over true distance.  Every pair is accounted for at
@@ -6,7 +6,6 @@ its LCA by Dendrogram.cross_stats (max, min) and Dendrogram.inv_sums
 (mean); no sampling, a max statistic would miss its argmax otherwise.
 """
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -14,8 +13,6 @@ import numpy as np
 
 from .core import PointSet
 from .dendro import Dendrogram, normalize
-from .spanner import SpannerConfig
-from . import pipeline as _pipeline
 
 
 @dataclass
@@ -91,43 +88,3 @@ def distortion(
         _mean=lambda: float((h * dendro.inv_sums(points)).sum()) / (points.n * (points.n - 1) // 2),
     )
 
-
-def benchmark(
-    points: PointSet,
-    algorithms,
-    repeats: int = 3,
-    config: SpannerConfig | None = None,
-) -> list[dict]:
-    """Wall-clock per algorithm, arithmetic mean over repeats, fitted with
-    config (default SpannerConfig()).
-
-    Rows carry per-stage means from the fitters, ready for log-scale
-    plotting.  An empty algorithm list produces an empty table.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    cfg = config or SpannerConfig()
-    rows = []
-    for name in algorithms:
-        walls = []
-        stage_acc: dict[str, float] = {}
-        edges = {}
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = _pipeline.run_algorithm(name, points, cfg)
-            walls.append((time.perf_counter() - t0) * 1e3)
-            for key, ms in res.timings_ms.items():
-                stage_acc[key] = stage_acc.get(key, 0.0) + ms
-            edges = res.edge_counts
-        rows.append(
-            {
-                "algorithm": name,
-                "n": points.n,
-                "d": points.d,
-                "repeats": repeats,
-                "mean_wall_ms": sum(walls) / repeats,
-                "stage_ms": {k: v / repeats for k, v in stage_acc.items()},
-                "edge_counts": edges,
-            }
-        )
-    return rows

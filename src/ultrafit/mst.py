@@ -179,8 +179,11 @@ def kruskal(n: int, edges) -> SpanningTree:
         else:
             live = compact(live, unjoined)
     if cnt < n - 1:
+        # components in ascending root order, members ascending: one stable sort
         roots = _roots(parent)
-        comps = [np.flatnonzero(roots == r).tolist() for r in np.unique(roots)]
+        members = np.argsort(roots, kind="stable")
+        cuts = np.flatnonzero(np.diff(roots[members])) + 1
+        comps = [c.tolist() for c in np.split(members, cuts)]
         raise DisconnectedGraphError(n, comps, tu[:cnt], tv[:cnt], tw[:cnt])
     # batches ascend in the canonical order, so the tree edges already do
     return SpanningTree(n=n, u=tu, v=tv, w=tw)

@@ -38,7 +38,6 @@ class FitResult:
     gamma: float | None = None
     seed: int | None = None
     timings_ms: dict[str, float] = field(default_factory=dict)
-    edge_counts: dict[str, int] = field(default_factory=dict)
     tree: SpanningTree | None = None
 
 
@@ -51,16 +50,15 @@ def _fit(algorithm: str, points: PointSet, grow_tree, cut_weights, **meta) -> Fi
     """The skeleton the tree-based fitters share: tree -> cut weights ->
     cartesian tree, each stage timed into timings_ms.
 
-    grow_tree(stage, edge_counts) returns the spanning tree, running each of
-    its steps as stage(name, fn, *args).  Fitters pass the stage functions
-    as this module's globals resolve at call time, so wrappers installed on
-    those names see every call.
+    grow_tree(stage) returns the spanning tree, running each of its steps
+    as stage(name, fn, *args).  Fitters pass the stage functions as this
+    module's globals resolve at call time, so wrappers installed on those
+    names see every call.
     """
     if points.n == 1:
         return FitResult(dendrogram=from_merge_rows(1, [], [], []), algorithm=algorithm, **meta)
     _require_distinct(points)
     timings_ms: dict[str, float] = {}
-    edge_counts: dict[str, int] = {}
 
     def stage(name, fn, *args):
         t0 = time.perf_counter()
@@ -68,15 +66,13 @@ def _fit(algorithm: str, points: PointSet, grow_tree, cut_weights, **meta) -> Fi
         timings_ms[name] = (time.perf_counter() - t0) * 1e3
         return out
 
-    tree = grow_tree(stage, edge_counts)
-    edge_counts["tree"] = points.n - 1
+    tree = grow_tree(stage)
     heights = stage("cutweight", cut_weights, points, tree)
     dendro = stage("cartesian", build_dendrogram, tree, heights)
     return FitResult(
         dendrogram=dendro,
         algorithm=algorithm,
         timings_ms=timings_ms,
-        edge_counts=edge_counts,
         tree=tree,
         **meta,
     )
@@ -93,9 +89,8 @@ def approx_ult(points: PointSet, config: SpannerConfig | None = None) -> FitResu
     """Spanner -> Kruskal -> 5-estimated cut weights -> cartesian tree."""
     config = config or SpannerConfig()
 
-    def grow_tree(stage, edge_counts):
+    def grow_tree(stage):
         graph = stage("spanner", build_spanner, points, config)
-        edge_counts["spanner"] = graph.edge_count
         return stage("mst", _spanner_tree, points, graph)
 
     return _fit("approx", points, grow_tree, approximate_cut_weights, gamma=config.gamma, seed=config.seed)
@@ -103,12 +98,12 @@ def approx_ult(points: PointSet, config: SpannerConfig | None = None) -> FitResu
 
 def approx_acc_ult(points: PointSet) -> FitResult:
     """Exact MST with 5-estimated cut weights."""
-    return _fit("acc", points, lambda stage, _: stage("mst", exact_mst, points), approximate_cut_weights)
+    return _fit("acc", points, lambda stage: stage("mst", exact_mst, points), approximate_cut_weights)
 
 
 def farach_exact(points: PointSet) -> FitResult:
     """Optimal-distortion baseline: exact MST and exact cut weights."""
-    return _fit("exact", points, lambda stage, _: stage("mst", exact_mst, points), exact_cut_weights)
+    return _fit("exact", points, lambda stage: stage("mst", exact_mst, points), exact_cut_weights)
 
 
 def run_algorithm(name: str, points: PointSet, config: SpannerConfig | None = None) -> FitResult:

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired_distances
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
+_MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
 # points from which the scales run in worker processes.  The pool costs
 # 15-35 ms to start and stop, and the rows, more than n * d, set where it
 # pays: on 2 cores (uniform points, medians of 15 alternated builds) serial
@@ -50,7 +51,6 @@ class SpannerConfig:
     seed: int = 0
     reps: int | None = None
     projections: int | None = None
-    max_scales: int = 32
 
     def __post_init__(self):
         if self.gamma < 1:
@@ -59,8 +59,6 @@ class SpannerConfig:
             raise ValueError("reps must be >= 1")
         if self.projections is not None and self.projections < 1:
             raise ValueError("projections must be >= 1")
-        if self.max_scales < 1:
-            raise ValueError("max_scales must be >= 1")
 
     def resolved(self, n: int) -> tuple[int, int]:
         """Concrete (projections, reps) for an n-point input."""
@@ -86,10 +84,10 @@ class SpannerGraph:
         return len(self.u)
 
 
-def estimate_scales(points: PointSet, config: SpannerConfig) -> list[float]:
+def estimate_scales(points: PointSet) -> list[float]:
     """Geometric radius ladder r_0 > r_1 > ... starting at the bbox diameter.
 
-    Halving ratio, truncated after max_scales levels.  A single point (or an
+    Halving ratio, truncated after _MAX_SCALES levels.  A single point (or an
     all-duplicates set with zero bbox diameter) yields an empty ladder.
     """
     if points.n < 2:
@@ -100,7 +98,7 @@ def estimate_scales(points: PointSet, config: SpannerConfig) -> list[float]:
         return []
     scales = []
     r = r0
-    for _ in range(config.max_scales):
+    for _ in range(_MAX_SCALES):
         scales.append(r)
         r /= 2.0
     return scales
@@ -233,7 +231,7 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     """
     n = points.n
     X = points.coords
-    scales = estimate_scales(points, config)
+    scales = estimate_scales(points)
 
     # the sorted distinct pairs of the scales so far; each scale's pairs are
     # folded in as they arrive, in scale order, so only the union and one

@@ -234,6 +234,13 @@ def test_eval_non_monotone_heights_exit_2(tmp_path, capsys):
     assert "monotone" in capsys.readouterr().err
 
 
+def test_eval_merge_list_separating_copies_exit_2(tmp_path, capsys):
+    csv = write(tmp_path, "pts.csv", "0\n0\n1\n")
+    dendro = write(tmp_path, "d.txt", "0 2 1.0 2\n3 1 2.0 3\n")
+    assert main(["eval", "--input", csv, "--dendrogram", dendro]) == 2
+    assert "copies of a duplicate point are separated: rows 0, 1" in capsys.readouterr().err
+
+
 def test_compare_all_algorithms_table(tmp_path, capsys):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     out = str(tmp_path / "cmp.json")

@@ -252,6 +252,122 @@ def test_contract_without_duplicates_is_identity():
     assert (same.ultrametric_matrix() == d.ultrametric_matrix()).all()
 
 
+def _expand_loop(d, groups):
+    """Merge-row relabeling expand_duplicates replaced, kept as the oracle:
+    each group's copies chain at height 0, then the merges follow with
+    their internal ids shifted."""
+    left, right, height = [], [], []
+    node_of = {}
+    total = sum(len(g) for g in groups.values())
+    next_node = total
+    for i in range(d.n):
+        g = sorted(groups[i])
+        cur = g[0]
+        for dup in g[1:]:
+            left.append(cur)
+            right.append(dup)
+            height.append(0.0)
+            cur = next_node
+            next_node += 1
+        node_of[i] = cur
+    offset = next_node - d.n
+    for l, r, h in zip(d.left.tolist(), d.right.tolist(), d.height.tolist()):
+        left.append(node_of[l] if l < d.n else l + offset)
+        right.append(node_of[r] if r < d.n else r + offset)
+        height.append(h)
+    return from_merge_rows(total, left, right, height)
+
+
+def _contract_loop(d, groups):
+    """Merge-row relabeling contract_duplicates replaced, kept as the
+    oracle: a merge of two nodes mapped to one group vanishes."""
+    mapped = [-1] * (2 * d.n - 1)
+    for ni, members in groups.items():
+        for x in members:
+            mapped[x] = ni
+    left, right, height = [], [], []
+    for i, (l, r, h) in enumerate(zip(d.left.tolist(), d.right.tolist(), d.height.tolist())):
+        if mapped[l] == mapped[r]:
+            mapped[d.n + i] = mapped[l]
+        else:
+            left.append(mapped[l])
+            right.append(mapped[r])
+            height.append(h)
+            mapped[d.n + i] = len(groups) + len(left) - 1
+    return from_merge_rows(len(groups), left, right, height)
+
+
+def _same_rows(a, b):
+    assert a.n == b.n
+    for x, y in ((a.left, b.left), (a.right, b.right), (a.height, b.height), (a.size, b.size)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("algo", ["approx", "exact", "single", "ward"])
+def test_expand_and_contract_match_relabel_loops(algo):
+    from ultrafit import run_algorithm
+
+    rng = np.random.default_rng(23)
+    x = rng.random((120, 3))
+    x[80:] = x[rng.integers(0, 80, 40)]  # copies, some of one row several times
+    rows = rng.permutation(120)
+    unique, groups = dedupe(PointSet(x[rows]))
+    d = run_algorithm(algo, unique).dendrogram
+    full = expand_duplicates(d, groups)
+    _same_rows(full, _expand_loop(d, groups))
+    _same_rows(contract_duplicates(full, groups), _contract_loop(full, groups))
+    _same_rows(contract_duplicates(full, groups), d)
+
+
+def test_contract_rejects_separated_copies():
+    # rows 0 and 2 are copies, but leaf 0 merges with leaf 1 first
+    d = from_merge_rows(4, [0, 2, 4], [1, 3, 5], [1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="rows 0, 2"):
+        contract_duplicates(d, {0: [0, 2], 1: [1], 2: [3]})
+
+
+def _newick_recursive(d, labels):
+    """A recursive formatter, the oracle of to_newick's explicit stack."""
+    node_h = np.concatenate([np.zeros(d.n), d.height])
+
+    def fmt(x):
+        if x < d.n:
+            return str(labels[x])
+        i = x - d.n
+        l, r = int(d.left[i]), int(d.right[i])
+        bl = dendro_mod._fmt_branch(d.height[i] - node_h[l])
+        br = dendro_mod._fmt_branch(d.height[i] - node_h[r])
+        return f"({fmt(l)}:{bl},{fmt(r)}:{br})"
+
+    return fmt(d.root) + ";"
+
+
+@pytest.mark.parametrize("algo", ["approx", "acc", "exact", "single", "complete", "average", "ward"])
+def test_newick_matches_recursive_formatter(algo):
+    from ultrafit import run_algorithm
+
+    p = PointSet(np.random.default_rng(31).random((300, 3)))
+    d = run_algorithm(algo, p).dendrogram
+    assert to_newick(d) == _newick_recursive(d, range(p.n))
+    names = [f"p{i}" for i in range(p.n)]
+    assert to_newick(d, names) == _newick_recursive(d, names)
+
+
+def test_newick_memory_linear_on_a_chain():
+    # a caterpillar, as single linkage gives on points along a line: every
+    # subtree's text held at once would take quadratic memory
+    n = 4000
+    d = from_merge_rows(n, [0] + list(range(n, 2 * n - 2)), list(range(1, n)), np.arange(1.0, n))
+    tracemalloc.start()
+    try:
+        text = to_newick(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("(" * (n - 1) + "0:1,1:1):1,2:2):1,")
+    assert peak < 16 * 2**20
+
+
 def _leaves(d):
     """Leaf ids under every node, left child's leaves first (DFS order)."""
     leaves = [[i] for i in range(d.n)]

@@ -4,7 +4,6 @@ import pytest
 from ultrafit import (
     PointSet,
     SpannerConfig,
-    benchmark,
     distortion,
     farach_exact,
     from_merge_rows,
@@ -76,31 +75,6 @@ def test_mean_between_min_and_max():
     p = PointSet(rng.random((40, 2)))
     rep = distortion(p, single_linkage(p), normalize_first=True)
     assert rep.min_ratio <= rep.mean_ratio <= rep.max_ratio
-
-
-def test_benchmark_mean_of_repeats():
-    rows = benchmark(COLLINEAR, ["exact"], repeats=3)
-    assert len(rows) == 1
-    assert rows[0]["repeats"] == 3
-    assert rows[0]["mean_wall_ms"] > 0
-    assert set(rows[0]["stage_ms"]) == {"mst", "cutweight", "cartesian"}
-
-
-def test_benchmark_empty_list():
-    assert benchmark(COLLINEAR, [], repeats=2) == []
-
-
-def test_benchmark_rejects_zero_repeats():
-    with pytest.raises(ValueError):
-        benchmark(COLLINEAR, ["exact"], repeats=0)
-
-
-def test_benchmark_row_fields_for_plotting():
-    rows = benchmark(COLLINEAR, ["approx", "single"], repeats=1, config=SpannerConfig(seed=2))
-    assert [r["algorithm"] for r in rows] == ["approx", "single"]
-    for r in rows:
-        assert r["n"] == 3 and r["d"] == 1
-        assert r["mean_wall_ms"] >= 0
 
 
 # -- the two per-block loops the cross-pair kernel replaced, kept as the oracle

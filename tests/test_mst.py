@@ -203,7 +203,8 @@ def test_kt_factor_bounded_by_spanner_stretch():
 def _single_scan_kruskal(n, u, v, w):
     """Kruskal as one scan over every edge in (weight, min index, max index)
     order: the path the batched filter scan replaces, kept as the oracle.
-    Returns the forest's edge triples and its components."""
+    Returns the forest's edge triples and its components, in the order of
+    their roots, each ascending."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo, w))
     parent = list(range(n))
@@ -222,7 +223,7 @@ def _single_scan_kruskal(n, u, v, w):
     comps = {}
     for x in range(n):
         comps.setdefault(find(x), []).append(x)
-    return forest, sorted(comps.values())
+    return forest, [comps[r] for r in sorted(comps)]
 
 
 def _tie_heavy_graph(rng, n, m):
@@ -331,8 +332,19 @@ def test_kruskal_disconnected_forest_matches_single_scan():
     exc = err.value
     got = list(zip(exc.forest_u.tolist(), exc.forest_v.tolist(), exc.forest_w.tolist()))
     assert got == forest
-    assert sorted(sorted(c) for c in exc.components) == comps
+    assert exc.components == comps
     assert len(comps) >= 22  # the two groups and the 20 isolated points
+
+
+def test_kruskal_disconnected_components_listed_in_root_order():
+    rng = np.random.default_rng(8)
+    n = 400
+    u, v, w = _tie_heavy_graph(rng, n, n // 2)
+    forest, comps = _single_scan_kruskal(n, u, v, w)
+    assert len(comps) > 100 and comps != sorted(comps)  # some roots are not their component's minimum
+    with pytest.raises(DisconnectedGraphError) as err:
+        kruskal(n, (u, v, w))
+    assert err.value.components == comps
 
 
 def _blobs(n, d, seed):

@@ -196,6 +196,5 @@ def test_run_algorithm_dispatch():
 def test_fit_result_stage_names_match_algorithm():
     res = approx_ult(COLLINEAR, SpannerConfig(seed=0))
     assert set(res.timings_ms) == {"spanner", "mst", "cutweight", "cartesian"}
-    assert res.edge_counts["tree"] == 2
     res2 = farach_exact(COLLINEAR)
     assert set(res2.timings_ms) == {"mst", "cutweight", "cartesian"}

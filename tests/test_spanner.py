@@ -14,21 +14,22 @@ from ultrafit.core import paired_distances
 from ultrafit.spanner import _scale_pairs, _stream, _worker_count
 
 
-def test_scales_halve_from_bbox_diameter():
+def test_scales_halve_from_bbox_diameter(monkeypatch):
+    monkeypatch.setattr(spanner_mod, "_MAX_SCALES", 3)
     p = PointSet([[0, 0], [4, 0]])
-    cfg = SpannerConfig(gamma=2.0, max_scales=3)
-    assert estimate_scales(p, cfg) == [4.0, 2.0, 1.0]
+    assert estimate_scales(p) == [4.0, 2.0, 1.0]
 
 
 def test_scales_single_point_empty():
     p = PointSet([[1.0, 1.0]])
-    assert estimate_scales(p, SpannerConfig()) == []
+    assert estimate_scales(p) == []
 
 
-def test_scales_strictly_decreasing():
+def test_scales_strictly_decreasing(monkeypatch):
+    monkeypatch.setattr(spanner_mod, "_MAX_SCALES", 16)
     rng = np.random.default_rng(0)
     p = PointSet(rng.random((20, 3)))
-    scales = estimate_scales(p, SpannerConfig(max_scales=16))
+    scales = estimate_scales(p)
     assert all(a > b for a, b in zip(scales, scales[1:]))
 
 
@@ -151,7 +152,7 @@ def _reference_spanner_pairs(points, config):
     n, d = points.n, points.d
     X = points.coords
     k, reps = config.resolved(n)
-    scales = estimate_scales(points, config)
+    scales = estimate_scales(points)
     pieces = [np.arange(1, n, dtype=np.uint64)]
     idx = np.arange(n, dtype=np.int64)
     for si in range(1, len(scales)):
@@ -282,8 +283,8 @@ def pooled(monkeypatch):
 def test_pooled_spanner_matches_serial_and_reference(coords, gamma, pooled, monkeypatch):
     p = PointSet(coords)
     cfg = SpannerConfig(gamma=gamma, seed=2)
-    scales = estimate_scales(p, cfg)
-    # the scales run out of non-trivial repetitions before max_scales, so
+    scales = estimate_scales(p)
+    # the scales run out of non-trivial repetitions before _MAX_SCALES, so
     # the pool has computed scales past the break that must be discarded
     trivial = [si for si in range(1, len(scales)) if _scale_pairs(p.coords, cfg, scales, si)[0] == 0]
     assert trivial and trivial[0] < len(scales) - 1
