@@ -111,7 +111,7 @@ def _finite_array(path: str, rows: list[list[float]], row_lines: list[int]) -> n
     return X
 
 
-SPANNER_FLAGS = ("gamma", "seed", "reps", "projections")
+SPANNER_FLAGS = ("gamma", "seed")
 
 
 def _spanner_config(args) -> SpannerConfig:
@@ -191,12 +191,9 @@ def cmd_compare(args) -> int:
     cfg = _spanner_config(args)
     rows = []
     for name in algos:
-        walls = []
-        res = None
-        for _ in range(max(1, args.repeats)):
-            t0 = time.perf_counter()
-            res = run_algorithm(name, unique, cfg)
-            walls.append((time.perf_counter() - t0) * 1e3)
+        t0 = time.perf_counter()
+        res = run_algorithm(name, unique, cfg)
+        wall_ms = (time.perf_counter() - t0) * 1e3
         rep = (
             distortion(unique, res.dendrogram, normalize_first=True, algorithm=name)
             if unique.n > 1
@@ -207,7 +204,7 @@ def cmd_compare(args) -> int:
                 "algorithm": name,
                 "max_distortion": rep.max_ratio if rep else None,
                 "scale": rep.scale if rep else None,
-                "mean_wall_ms": sum(walls) / len(walls),
+                "mean_wall_ms": wall_ms,
                 "stage_ms": res.timings_ms,
             }
         )
@@ -261,8 +258,6 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_spanner(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=None, help="target stretch (>= 1; default 2.5)")
     p.add_argument("--seed", type=int, default=None, help="hash seed (default 0)")
-    p.add_argument("--reps", type=int, default=None, help="hash repetitions per scale")
-    p.add_argument("--projections", type=int, default=None, help="projections per repetition")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cmp_)
     _add_spanner(cmp_)
     cmp_.add_argument("--algo", default=",".join(ALGORITHMS), help="comma-separated algorithm list")
-    cmp_.add_argument("--repeats", type=int, default=1, help="timing repetitions")
     cmp_.set_defaults(func=cmd_compare)
 
     ev = sub.add_parser("eval", help="distortion report for an exported merge list")

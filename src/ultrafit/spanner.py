@@ -12,6 +12,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import wait
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,14 +22,14 @@ from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 _MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
-# points from which the scales run in worker processes.  The pool costs
-# 15-35 ms to start and stop, and the rows, more than n * d, set where it
-# pays: on 2 cores (uniform points, medians of 15 alternated builds) serial
-# and pool broke even near 750 rows at d = 2, 1000-1500 at d = 4, 1000 at
-# d = 8, 600-750 at d = 16 and 400-700 at d = 77; the pool lost at every d
-# up to 500 rows (200x16: 71 vs 99 ms) and won at every d from 2000 rows
+# points from which the scales run in worker processes.  The workers cost
+# 9-31 ms to start, serve 31 empty scales and stop, and the rows, more than
+# n * d, set where they pay: on 2 cores (uniform points, medians of 25
+# alternated builds) serial and pooled builds broke even near 750 rows at
+# d = 4, 600-750 at d = 8 and 500-750 at d = 16, below 500 at d = 2 and
+# d = 77, and the pooled build won at every d from 1000 rows
 _POOL_MIN_ROWS = 1000
-# workers at most: the pool was measured on 2 cores only, and each worker
+# workers at most: they were measured on 2 cores only, and each worker
 # holds a scale's buffers beside the parent's
 _MAX_WORKERS = 2
 # rows per X @ proj block.  OpenBLAS threads a product by its size, and
@@ -42,29 +43,22 @@ _PROJ_ROWS = 4096
 class SpannerConfig:
     """Tunables for the spanner build.
 
-    reps and projections default to n-dependent values resolved at build
-    time: projections k = ceil(log2(n) / gamma) and repetitions
-    T = min(48, ceil(log2(n)^2)).
+    The projections k = ceil(log2(n) / gamma) and repetitions
+    T = min(48, ceil(log2(n)^2)) follow from n and gamma at build time.
     """
 
     gamma: float = 2.5
     seed: int = 0
-    reps: int | None = None
-    projections: int | None = None
 
     def __post_init__(self):
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if self.reps is not None and self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.projections is not None and self.projections < 1:
-            raise ValueError("projections must be >= 1")
 
     def resolved(self, n: int) -> tuple[int, int]:
         """Concrete (projections, reps) for an n-point input."""
         log2n = math.log2(max(n, 2))
-        k = self.projections or max(1, math.ceil(log2n / self.gamma))
-        t = self.reps or max(1, min(_REP_CAP, math.ceil(log2n**2)))
+        k = max(1, math.ceil(log2n / self.gamma))
+        t = max(1, min(_REP_CAP, math.ceil(log2n**2)))
         return k, t
 
 
@@ -187,34 +181,89 @@ def _worker_count(n: int, scale_count: int) -> int:
     return min(len(os.sched_getaffinity(0)), scale_count, _MAX_WORKERS)
 
 
-_adopted = None  # a pool worker's job, set by _adopt in the worker alone
+def _serve(job, conn, parent_ends):
+    """A worker's loop: job(si) for each scale id si the parent sends,
+    answered as (True, result) or (False, the exception raised).  Ends
+    when the parent closes its end or terminates the worker.  The parent's
+    ends inherited at fork are closed first, so that the death of the
+    parent reads as EOF here."""
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            si = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, job(si))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
 
 
-def _adopt(job):
-    global _adopted
-    _adopted = job
-
-
-def _run_adopted(si: int):
-    return _adopted(si)
+def _in_order(conns, scale_ids):
+    """The workers' results for scale_ids, in order.  Each idle worker is
+    sent the next scale id, and every ready result is taken as soon as the
+    caller asks for the next one; results that arrive ahead of their turn
+    wait in a dict.  A worker's exception is raised here, and a worker that
+    dies (EOF on its pipe) raises an error naming the scale it held."""
+    todo = iter(scale_ids)
+    busy = {}  # connection -> the scale id its worker computes
+    ready = {}  # scale id -> result
+    for conn in conns:
+        si = next(todo, None)
+        if si is not None:
+            conn.send(si)
+            busy[conn] = si
+    for si in scale_ids:
+        while si not in ready:
+            for conn in wait(list(busy)):
+                sj = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"the spanner worker computing scale {sj} died") from None
+                if not ok:
+                    raise value
+                ready[sj] = value
+                nxt = next(todo, None)
+                if nxt is not None:
+                    conn.send(nxt)
+                    busy[conn] = nxt
+        yield ready.pop(si)
 
 
 @contextmanager
 def _scale_results(job, scale_count: int, n: int):
-    """job(si) for si = 1 .. scale_count, in order: from a pool of forked
-    workers, which inherit job and compute ahead of the caller, or from the
-    builtin map.  No worker outlives the block."""
+    """job(si) for si = 1 .. scale_count, in order: from forked worker
+    processes, which inherit job, each talk to the parent over a pipe of
+    its own and compute ahead of the caller, or from the builtin map.  No
+    worker outlives the block."""
     scale_ids = range(1, scale_count + 1)
     workers = _worker_count(n, scale_count)
     if workers < 2:
         yield map(job, scale_ids)
         return
-    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_adopt, initargs=(job,))
+    fork = multiprocessing.get_context("fork")
+    procs, conns = [], []
     try:
-        yield pool.imap(_run_adopted, scale_ids)
+        for _ in range(workers):
+            conn, child = fork.Pipe()
+            conns.append(conn)
+            proc = fork.Process(target=_serve, args=(job, child, tuple(conns)), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child.close()  # the worker's end, so its death reads as EOF here
+        yield _in_order(conns, scale_ids)
     finally:
-        pool.terminate()
-        pool.join()
+        # a worker shares no lock with the parent, so it can be killed
+        # anywhere, mid-send included
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:

@@ -273,8 +273,6 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
     for argv in (
         [*evaluate, "--gamma", "2.0"],
         [*evaluate, "--seed", "1"],
-        [*evaluate, "--reps", "2"],
-        [*evaluate, "--projections", "2"],
         ["compare", "--input", csv, "--algo", "exact", "--normalize"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -287,7 +285,7 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
 def test_spanner_flags_on_a_fit_without_spanner_are_usage_errors(tmp_path, capsys):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     for algo in ("acc", "exact", "single", "average"):
-        for flag, value in (("--gamma", "9"), ("--seed", "1"), ("--reps", "2"), ("--projections", "2")):
+        for flag, value in (("--gamma", "9"), ("--seed", "1")):
             with pytest.raises(SystemExit) as exc:
                 main(["fit", "--input", csv, "--algo", algo, flag, value])
             assert exc.value.code == 2, (algo, flag)

@@ -328,9 +328,11 @@ def test_kt_factor_bitwise_matches_block_loop(monkeypatch):
     for coords in inputs:
         p = PointSet(coords)
         cases.append((p, exact_mst(p)))
-        for seed in (1, 2):  # one hash per scale: sparse spanners, trees far from minimal
-            g = build_spanner(p, SpannerConfig(gamma=3.0, seed=seed, reps=1, projections=1))
-            cases.append((p, kruskal(p.n, (g.u, g.v, g.w))))
+        with monkeypatch.context() as m:  # one hash per scale: sparse spanners, trees far from minimal
+            m.setattr(SpannerConfig, "resolved", lambda self, n: (1, 1))
+            for seed in (1, 2):
+                g = build_spanner(p, SpannerConfig(gamma=3.0, seed=seed))
+                cases.append((p, kruskal(p.n, (g.u, g.v, g.w))))
     assert max(_block_loop_kt_factor(p, tree) for p, tree in cases) > 10
     for screen_all in (False, True):
         if screen_all:  # screen every merge, however small

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -36,10 +37,6 @@ def test_scales_strictly_decreasing(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         SpannerConfig(gamma=0.5)
-    with pytest.raises(ValueError):
-        SpannerConfig(reps=0)
-    with pytest.raises(ValueError):
-        SpannerConfig(projections=-1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
@@ -320,8 +317,9 @@ def test_pooled_spanner_over_row_blocks_matches_reference_under_blas_threads(poo
         "from ultrafit import PointSet, SpannerConfig, build_spanner, spanner\n"
         "from test_spanner import _reference_spanner_pairs\n"
         "spanner._POOL_MIN_ROWS = 0\n"
+        "spanner._REP_CAP = 6\n"
         "p = PointSet(np.random.default_rng(4).random((5000, 6)))\n"
-        "cfg = SpannerConfig(gamma=2.0, seed=5, reps=6)\n"
+        "cfg = SpannerConfig(gamma=2.0, seed=5)\n"
         "g = build_spanner(p, cfg)\n"
         "ru, rv = _reference_spanner_pairs(p, cfg)\n"
         "assert len(g.u) == len(ru) and (g.u == ru).all() and (g.v == rv).all()\n"
@@ -333,3 +331,83 @@ def test_pooled_spanner_over_row_blocks_matches_reference_under_blas_threads(poo
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def _run_bounded(script, timeout):
+    """Run script in a fresh interpreter with tests/ on its path, in a
+    session of its own; past timeout seconds the whole session, workers
+    included, is killed and the test fails."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, os.path.dirname(__file__)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+def test_pooled_spanner_raises_when_a_worker_dies(pooled):
+    # a worker that exits without a reply loses its scale; the parent must
+    # name that scale and stop the other worker instead of waiting for it
+    script = (
+        "import multiprocessing, os, sys, time\n"
+        "import numpy as np\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from ultrafit import PointSet, SpannerConfig, build_spanner, spanner\n"
+        "stream = spanner._stream\n"
+        "def dying(seed, scale_index, rep):\n"
+        "    if scale_index == 3:\n"
+        "        os._exit(1)\n"
+        "    return stream(seed, scale_index, rep)\n"
+        "spanner._POOL_MIN_ROWS = 0\n"
+        "spanner._stream = dying\n"
+        "p = PointSet(np.random.default_rng(1).random((300, 4)))\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        "    build_spanner(p, SpannerConfig(gamma=2.0, seed=1))\n"
+        "except RuntimeError as exc:\n"
+        "    print(time.perf_counter() - t0, exc)\n"
+        "else:\n"
+        "    sys.exit('build_spanner returned')\n"
+        "assert multiprocessing.active_children() == []\n"
+    )
+    seconds, message = _run_bounded(script, timeout=30).split(" ", 1)
+    assert "scale 3" in message
+    assert float(seconds) < 5
+
+
+def test_pooled_spanner_stops_workers_mid_send_without_hanging(pooled):
+    # every scale past the first trivial one returns 16 MiB, so a worker is
+    # often sending when the parent, done at that scale, terminates it
+    script = (
+        "import multiprocessing, sys\n"
+        "import numpy as np\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from ultrafit import PointSet, SpannerConfig, build_spanner, estimate_scales, spanner\n"
+        "spanner._REP_CAP = 4  # cheap scales: the builds time the stop, not the hashing\n"
+        "scale_pairs = spanner._scale_pairs\n"
+        "p = PointSet(np.random.default_rng(1).random((300, 4)))\n"
+        "cfg = SpannerConfig(gamma=2.0, seed=2)\n"
+        "scales = estimate_scales(p)\n"
+        "first = next(si for si in range(1, len(scales)) if scale_pairs(p.coords, cfg, scales, si)[0] == 0)\n"
+        "payload = (0, np.ones(2**21, dtype=np.uint64))\n"
+        "def heavy(X, config, scales, si):\n"
+        "    if si > first:\n"
+        "        return payload\n"
+        "    return scale_pairs(X, config, scales, si)\n"
+        "serial = build_spanner(p, cfg)\n"
+        "spanner._POOL_MIN_ROWS = 0\n"
+        "spanner._scale_pairs = heavy\n"
+        "for _ in range(200):\n"
+        "    g = build_spanner(p, cfg)\n"
+        "    assert (g.u == serial.u).all() and (g.v == serial.v).all() and (g.w == serial.w).all()\n"
+        "    assert multiprocessing.active_children() == []\n"
+        "print(first, len(scales))\n"
+    )
+    first, count = map(int, _run_bounded(script, timeout=120).split())
+    assert first < count - 2  # two or more heavy scales per build
