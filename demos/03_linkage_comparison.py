@@ -3,6 +3,10 @@
 Reproduces the usual comparison table: normalized max distortion plus
 wall time per algorithm.  Single linkage under-estimates distances and
 gets scaled up; the exact fitter is the baseline nothing can beat.
+
+Wall times are marginal costs in ALGORITHMS order: acc, exact and single
+share the exact MST stored on the point set, so acc, the first of them,
+pays for it and the other two reuse it.
 """
 
 import time

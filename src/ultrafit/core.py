@@ -7,19 +7,26 @@ pair produce bitwise-identical float64 values.  Weights are always true
 distances; squared-distance shortcuts are never stored.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 _CHUNK = 1 << 15  # entries that chunks and compact handle at a time
+_TILE = 128  # rows and columns of one distance_matrix tile
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """n points in d-dimensional Euclidean space, immutable after construction."""
+    """n points in d-dimensional Euclidean space, immutable after construction.
+
+    _mst holds the exact MST once mst.exact_mst has computed it: coords
+    are write-protected, so the tree cannot go stale.  Equality and repr
+    ignore it.
+    """
 
     coords: np.ndarray
+    _mst: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.coords, dtype=np.float64)
@@ -54,6 +61,23 @@ class PointSet:
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full |a| x |b| Euclidean distance matrix."""
     return cdist(np.atleast_2d(a), np.atleast_2d(b))
+
+
+def distance_matrix(coords: np.ndarray) -> np.ndarray:
+    """The n x n Euclidean distance matrix of coords, bitwise equal to
+    cross_distances(coords, coords) at about half its kernel work: each
+    square tile on or above the diagonal is one cdist call, and its
+    transpose fills the mirror tile below (a cdist entry does not depend
+    on the order of its two points)."""
+    n = len(coords)
+    D = np.empty((n, n))
+    for s in range(0, n, _TILE):
+        for t in range(s, n, _TILE):
+            block = cdist(coords[s : s + _TILE], coords[t : t + _TILE])
+            D[s : s + _TILE, t : t + _TILE] = block
+            if t != s:
+                D[t : t + _TILE, s : s + _TILE] = block.T
+    return D
 
 
 def paired_distances(a: np.ndarray, b: np.ndarray, chunk: int = 64) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Classic agglomerative baselines: single, complete, average and Ward.
 
 Nearest-neighbor-chain agglomeration over a full distance matrix with
-Lance-Williams updates, O(n^2) time and space.  Merge heights are sorted
-ascending as the dendrogram is assembled; all four rules are reducible,
-so the sorted rows form a valid monotone dendrogram.
+Lance-Williams updates, O(n^2) time and space.  core.distance_matrix
+fills the matrix from its upper triangle, and a matrix larger than the
+memory available is refused before it is allocated.  Merge heights are
+sorted ascending as the dendrogram is assembled; all four rules are
+reducible, so the sorted rows form a valid monotone dendrogram.
 
 Ward heights follow the square-root convention: the matrix holds plain
 distances and the update runs on their squares, so singleton merges
@@ -12,12 +14,14 @@ report the Euclidean distance itself.
 
 import numpy as np
 
-from .core import PointSet, cross_distances
+from .core import PointSet, distance_matrix
 from .dendro import Dendrogram, from_merge_rows
 from .mst import SpanningTree, exact_mst
 from . import dendro as _dendro
 
 METHODS = ("single", "complete", "average", "ward")
+
+_MEMINFO = "/proc/meminfo"
 
 
 def single_linkage(points: PointSet) -> Dendrogram:
@@ -61,6 +65,31 @@ def _check_ward_range(points: PointSet) -> None:
         )
 
 
+def _available_bytes() -> int | None:
+    """MemAvailable from _MEMINFO in bytes; None where that file or field
+    is absent."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_matrix_fits(n: int) -> None:
+    """Refuse an n x n float64 matrix larger than the memory available,
+    which would otherwise end in an out-of-memory kill."""
+    need = 8 * n * n
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"linkage at n = {n} needs an n x n distance matrix of {need} bytes, "
+            f"but only {avail} bytes of memory are available"
+        )
+
+
 def agglomerate(points: PointSet, method: str) -> Dendrogram:
     """Nearest-neighbor-chain agglomeration under the given linkage rule."""
     if method not in METHODS:
@@ -70,7 +99,8 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         return from_merge_rows(1, [], [], [])
     if method == "ward":
         _check_ward_range(points)
-    D = cross_distances(points.coords, points.coords)
+    _check_matrix_fits(n)
+    D = distance_matrix(points.coords)
     np.fill_diagonal(D, np.inf)
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
@@ -80,10 +110,10 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         if not chain:
             chain.append(int(np.flatnonzero(active)[0]))
         while True:
+            # the diagonal and every retired row and column hold inf, and
+            # the update maps inf to inf, so D[c] needs no mask
             c = chain[-1]
-            row = np.where(active, D[c], np.inf)
-            row[c] = np.inf
-            nn = int(np.argmin(row))
+            nn = int(np.argmin(D[c]))
             if len(chain) >= 2 and nn == chain[-2]:
                 break
             chain.append(nn)

@@ -222,7 +222,22 @@ def connect_components(points: PointSet, forest) -> SpanningTree:
 def exact_mst(points: PointSet) -> SpanningTree:
     """True Euclidean MST, equal edge for edge to kruskal over all pairs.
 
-    Prim's algorithm under kruskal's strict edge order (weight, min index,
+    Computed once per PointSet and stored on it, so acc, exact and single
+    on one point set share one tree; later calls return that same object.
+    Its u, v and w arrays are read-only, so no caller can change what the
+    others see.
+    """
+    tree = points._mst
+    if tree is None:
+        tree = _prim(points)
+        for a in (tree.u, tree.v, tree.w):
+            a.setflags(write=False)
+        object.__setattr__(points, "_mst", tree)
+    return tree
+
+
+def _prim(points: PointSet) -> SpanningTree:
+    """Prim's algorithm under kruskal's strict edge order (weight, min index,
     max index).  That order is total, so the MST is unique and Prim's tree,
     sorted canonically, is the one kruskal picks.  Memory is O(n): one
     distance row per step, never all pairs.  The row covers only the live

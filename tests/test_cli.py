@@ -9,6 +9,7 @@ import pytest
 from ultrafit import PointSet, normalize, parse_merge_list
 from ultrafit import cli as cli_mod
 from ultrafit import dendro as dendro_mod
+from ultrafit import linkage as linkage_mod
 from ultrafit.cli import EXIT_BAD_INPUT, EXIT_EMPTY, CliError, main, parse_points_csv
 from ultrafit.core import cross_distances
 
@@ -264,6 +265,36 @@ def test_compare_single_row(tmp_path, capsys):
 def test_compare_unknown_algorithm_exit_3(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     assert main(["compare", "--input", csv, "--algo", "exact,upgma"]) == 3
+
+
+def test_compare_rows_of_the_mst_fitters_equal_separate_fits(tmp_path):
+    # acc, exact and single share one exact MST in compare; each fit below
+    # parses its own point set and computes its own
+    rng = np.random.default_rng(12)
+    x = rng.random((200, 6))
+    x[150:] = x[:50]  # duplicates: compare and fit both dedupe
+    csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+    cmp_out = str(tmp_path / "cmp.json")
+    assert main(["compare", "--input", csv, "--algo", "acc,exact,single", "--out", cmp_out]) == 0
+    rows = {r["algorithm"]: r for r in json.load(open(cmp_out))["rows"]}
+    for algo in ("acc", "exact", "single"):
+        out = str(tmp_path / f"{algo}.txt")
+        assert main(["fit", "--input", csv, "--algo", algo, "--normalize", "--out", out]) == 0
+        side = json.load(open(out + ".json"))
+        assert (rows[algo]["max_distortion"], rows[algo]["scale"]) == (side["max_distortion"], side["scale"]), algo
+
+
+def test_linkage_larger_than_the_memory_available_exits_2(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(13)
+    csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in rng.random((40, 3)).tolist()))
+    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 1000)
+    out = str(tmp_path / "d.txt")
+    for argv in (["fit", "--algo", "average", "--out", out], ["compare"]):
+        assert main([*argv, "--input", csv]) == EXIT_BAD_INPUT, argv
+        err = capsys.readouterr().err
+        assert "n = 40 needs an n x n distance matrix of 12800 bytes, but only 1000 bytes" in err, argv
+    assert not os.path.exists(out)
+    assert main(["compare", "--input", csv, "--algo", "approx,acc,exact,single"]) == 0
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultrafit import PointSet, dedupe, distance
-from ultrafit.core import canonical_edges, cross_distances, paired_distances
+from ultrafit.core import canonical_edges, cross_distances, distance_matrix, paired_distances
 
 
 def test_distance_axis_aligned():
@@ -87,6 +87,18 @@ def test_paired_matches_matrix_bitwise():
     full = cross_distances(x, x)
     pair = paired_distances(x[u], x[v])
     assert (pair == full[u, v]).all()
+
+
+@pytest.mark.parametrize("d", [1, 3, 77])
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+def test_distance_matrix_matches_cdist_bitwise(n, d):
+    rng = np.random.default_rng(n * 1000 + d)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, d)
+    x[n // 2] = x[0]  # a duplicate: zeros off the diagonal
+    got = distance_matrix(x)
+    want = cross_distances(x, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_dedupe_collapses_and_maps():

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ultrafit import METHODS, PointSet, agglomerate, format_merge_list, from_merge_rows, single_linkage
+from ultrafit import (
+    METHODS,
+    PointSet,
+    SpanningTree,
+    agglomerate,
+    build_dendrogram,
+    format_merge_list,
+    from_merge_rows,
+    single_linkage,
+)
+from ultrafit import linkage as linkage_mod
 from ultrafit.core import cross_distances
 from ultrafit.linkage import _lw_update
 
@@ -130,10 +140,10 @@ def test_single_point_all_methods():
     assert single_linkage(p).n == 1
 
 
-def _slot_relabel_agglomerate(points, method):
-    """agglomerate as it ran before it handed its merges to build_dendrogram,
-    kept as the oracle: the same nearest-neighbor chain, then a stable sort
-    of the merges by height and a find loop from slot ids to node ids."""
+def _masked_merges(points, method):
+    """The nearest-neighbor chain as agglomerate ran it over a full cdist
+    matrix, masking retired rows and the diagonal out of each row it
+    reads, kept as the oracle: the merges (height, slot_a, slot_b)."""
     n = points.n
     D = cross_distances(points.coords, points.coords)
     np.fill_diagonal(D, np.inf)
@@ -166,6 +176,21 @@ def _slot_relabel_agglomerate(points, method):
         sizes[a] += sizes[b]
         D[b, :] = np.inf
         D[:, b] = np.inf
+    return merges
+
+
+def _masked_agglomerate(points, method):
+    """agglomerate before its tiled matrix and unmasked row reads."""
+    h, a, b = (np.array(col) for col in zip(*_masked_merges(points, method)))
+    return build_dendrogram(SpanningTree(points.n, a, b, h), h)
+
+
+def _slot_relabel_agglomerate(points, method):
+    """agglomerate as it ran before it handed its merges to build_dendrogram,
+    kept as the oracle: the same nearest-neighbor chain, then a stable sort
+    of the merges by height and a find loop from slot ids to node ids."""
+    n = points.n
+    merges = _masked_merges(points, method)
     order = sorted(range(n - 1), key=lambda i: merges[i][0])
     parent = list(range(n))
     node_of = list(range(n))
@@ -197,3 +222,52 @@ def test_agglomerate_matches_slot_relabel(method):
         p = PointSet(coords)
         want = format_merge_list(_slot_relabel_agglomerate(p, method))
         assert format_merge_list(agglomerate(p, method)) == want, p.n
+
+
+def _unmasked_inputs():
+    rng = np.random.default_rng(31)
+    lattice = np.stack(np.meshgrid(np.arange(15.0), np.arange(15.0)), -1).reshape(-1, 2)
+    line = np.outer(rng.permutation(160).astype(float), [1.0, 2.0, -0.5])  # collinear, equal gaps
+    yield "random", rng.random((300, 8))
+    yield "random-highd", rng.random((150, 77))
+    yield "lattice", lattice  # ties everywhere, 225 points: tiles of 128 and 97
+    yield "collinear", line
+    yield "collinear-random", np.outer(rng.random(140), rng.standard_normal(4))
+
+
+@pytest.mark.parametrize("method", ["complete", "average", "ward"])
+def test_agglomerate_matches_masked_full_matrix(method):
+    for name, coords in _unmasked_inputs():
+        p = PointSet(coords)
+        got, want = agglomerate(p, method), _masked_agglomerate(p, method)
+        for x, y in ((got.left, want.left), (got.right, want.right), (got.height, want.height)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_agglomerate_refuses_a_matrix_larger_than_the_memory_available(monkeypatch):
+    p = PointSet(np.random.default_rng(4).random((50, 3)))
+    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 8 * 50 * 50 - 1)
+    monkeypatch.setattr(linkage_mod, "distance_matrix", lambda x: pytest.fail("allocated the matrix"))
+    for method in ("complete", "average", "ward"):
+        with pytest.raises(ValueError, match=r"n = 50 needs .* 20000 bytes, but only 19999 bytes"):
+            agglomerate(p, method)
+
+
+def test_agglomerate_without_a_memory_reading_skips_the_check(monkeypatch):
+    p = PointSet(np.random.default_rng(4).random((50, 3)))
+    want = format_merge_list(agglomerate(p, "average"))
+    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: None)
+    assert format_merge_list(agglomerate(p, "average")) == want
+    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 8 * 50 * 50)
+    assert format_merge_list(agglomerate(p, "average")) == want
+
+
+def test_available_bytes_reads_meminfo(tmp_path, monkeypatch):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       8000000 kB\nMemFree:  100 kB\nMemAvailable:    123456 kB\n")
+    monkeypatch.setattr(linkage_mod, "_MEMINFO", str(meminfo))
+    assert linkage_mod._available_bytes() == 123456 * 1024
+    meminfo.write_text("MemTotal:       8000000 kB\n")
+    assert linkage_mod._available_bytes() is None
+    monkeypatch.setattr(linkage_mod, "_MEMINFO", str(tmp_path / "absent"))
+    assert linkage_mod._available_bytes() is None

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import tracemalloc
 
@@ -124,6 +125,30 @@ def test_exact_mst_equilateral_tie_break():
     w = tree.w[0]
     assert (tree.u.tolist(), tree.v.tolist()) == ([0, 0], [1, 2])
     assert (tree.w == w).all()
+
+
+def test_exact_mst_is_computed_once_per_point_set(monkeypatch):
+    p = PointSet(np.random.default_rng(8).random((150, 5)))
+    before = copy.copy(p)
+    tree = exact_mst(p)
+    calls = []
+    monkeypatch.setattr(mst_mod, "_prim", lambda points: calls.append(points))
+    assert exact_mst(p) is tree and calls == []
+    for a in (tree.u, tree.v, tree.w):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    # equality and repr ignore the stored tree
+    assert p == before and repr(p) == repr(before)
+    assert before._mst is None
+
+
+def test_exact_mst_of_equal_coordinates_is_bitwise_equal():
+    x = np.random.default_rng(9).random((150, 5))
+    a, b = PointSet(x), PointSet(x.copy())
+    ta, tb = exact_mst(a), exact_mst(b)
+    assert ta is not tb
+    for s, t in ((ta.u, tb.u), (ta.v, tb.v), (ta.w, tb.w)):
+        assert s.dtype == t.dtype and s.tobytes() == t.tobytes()
 
 
 def _grid(k, dim):
