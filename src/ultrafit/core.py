@@ -5,28 +5,41 @@ All Euclidean distances in the package flow through the cdist kernel of
 scipy so that any two code paths computing the distance of the same point
 pair produce bitwise-identical float64 values.  Weights are always true
 distances; squared-distance shortcuts are never stored.
+
+fork_map is the one ordered map over forked worker processes; the
+spanner's scales and the evaluator's blocks run on it.
 """
 
+import math
+import multiprocessing
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 _CHUNK = 1 << 15  # entries that chunks and compact handle at a time
 _TILE = 128  # rows and columns of one distance_matrix tile
+# workers at most: they were measured on 2 cores only, and each worker
+# holds its own buffers beside the parent's
+_MAX_WORKERS = 2
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota: "<quota> <period>" or "max <period>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """n points in d-dimensional Euclidean space, immutable after construction.
 
     _mst holds the exact MST once mst.exact_mst has computed it: coords
-    are write-protected, so the tree cannot go stale.  Equality and repr
-    ignore it.
+    are write-protected, so the tree cannot go stale.  Equality (same
+    shape, equal coordinates) and repr ignore it; a PointSet is not
+    hashable.
     """
 
     coords: np.ndarray
-    _mst: object = field(default=None, init=False, repr=False, compare=False)
+    _mst: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.coords, dtype=np.float64)
@@ -48,6 +61,13 @@ class PointSet:
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "coords", a)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return np.array_equal(self.coords, other.coords)
 
     @property
     def n(self) -> int:
@@ -187,3 +207,120 @@ def compact(a: np.ndarray, keep) -> np.ndarray:
         a[kept : kept + len(part)] = part
         kept += len(part)
     return a[:kept]
+
+
+def _cpu_quota() -> int | None:
+    """CPUs the cgroup v2 quota in _CPU_MAX allows, ceil(quota / period);
+    None where that file is absent or unreadable or reads max."""
+    try:
+        with open(_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()[:2]
+        return None if quota == "max" else max(1, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+
+
+def worker_limit() -> int:
+    """Worker processes that fork_map may run: one (serial) without fork,
+    inside a daemonic process, which may not start children, or on one
+    usable CPU, counted from the affinity mask and the cgroup CPU quota
+    (the mask alone does not see a quota); at most _MAX_WORKERS."""
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, quota)
+    return min(cpus, _MAX_WORKERS)
+
+
+def _serve(job, conn, parent_ends):
+    """A worker's loop: job(i) for each id i the parent sends, answered as
+    (True, result) or (False, the exception raised).  Ends when the parent
+    closes its end or terminates the worker.  The parent's ends inherited
+    at fork are closed first, so that the death of the parent reads as EOF
+    here."""
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            i = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, job(i))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+def _in_order(conns, ids, label):
+    """The workers' results for ids, in order.  Each idle worker is sent
+    the next id, and every ready result is taken as soon as the caller
+    asks for the next one; results that arrive ahead of their turn wait in
+    a dict.  A worker's exception is raised here, and a worker that dies
+    (EOF on its pipe) raises an error naming the label and id it held."""
+    todo = iter(ids)
+    busy = {}  # connection -> the id its worker computes
+    ready = {}  # id -> result
+    for conn in conns:
+        i = next(todo, None)
+        if i is not None:
+            conn.send(i)
+            busy[conn] = i
+    for i in ids:
+        while i not in ready:
+            for conn in wait(list(busy)):
+                j = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"the worker computing {label} {j} died") from None
+                if not ok:
+                    raise value
+                ready[j] = value
+                nxt = next(todo, None)
+                if nxt is not None:
+                    conn.send(nxt)
+                    busy[conn] = nxt
+        yield ready.pop(i)
+
+
+@contextmanager
+def fork_map(job, ids, workers: int, label: str = "item"):
+    """job(i) for each i of ids (distinct, picklable), in order: from
+    min(workers, len(ids)) forked worker processes, which inherit job and
+    everything it reads, each talk to the parent over a pipe of its own
+    and compute ahead of the caller, or from the builtin map when that is
+    below 2.  The caller decides whether workers pay and asks for at most
+    worker_limit() of them.  A worker's exception is raised in the
+    parent, and a worker's death raises a RuntimeError naming label and
+    the id it held.  No worker outlives the block."""
+    workers = min(workers, len(ids))
+    if workers < 2:
+        yield map(job, ids)
+        return
+    fork = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, child = fork.Pipe()
+            conns.append(conn)
+            proc = fork.Process(target=_serve, args=(job, child, tuple(conns)), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child.close()  # the worker's end, so its death reads as EOF here
+        yield _in_order(conns, ids, label)
+    finally:
+        # a worker shares no lock with the parent, so it can be killed
+        # anywhere, mid-send included
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()

@@ -9,11 +9,12 @@ edge order.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, cross_distances
+from .core import PointSet, cross_distances, fork_map, worker_limit
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
@@ -106,6 +107,23 @@ def _candidates(S: np.ndarray, E: float):
 # is handed back to _merge_extremes, so candidate arrays stay small when
 # distances tie (one-hot rows, say).
 _TIED_SHARE = 1 / 8
+# cross pairs outside the tiles from which cross_stats runs its units on
+# core.fork_map's workers (all cross pairs, for inv_sums).  On 2 cores
+# (medians of 7 alternated calls on approx and average trees) pooled and
+# serial calls broke even near 7.9M such pairs (4000 points) at d = 16 and
+# 2M-4.4M (2000-3000 points) at d = 77; the pool took 0.65-0.82 of the
+# serial time from 17.9M pairs at either d, and 1.5-2.3x at 0.45M
+_POOL_MIN_PAIRS = 1 << 23
+# _blocks row bands per unit of a merge too large for one block, when pooled
+_PART_BLOCKS = 8
+# runs of whole merges that a pooled inv_sums is cut into
+_INV_UNITS = 16
+
+
+def _workers(pairs) -> int:
+    """Processes for a pass over this many cross pairs: one below the
+    crossover, else as many as core.worker_limit allows."""
+    return worker_limit() if pairs >= _POOL_MIN_PAIRS else 1
 
 
 def _steps(sizes: np.ndarray) -> np.ndarray:
@@ -244,21 +262,19 @@ def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
     return near, at, far
 
 
-def _tile_pass(Y, spans, children, out) -> np.ndarray:
-    """Reduce every merge inside a tile, a maximal subtree of at most
-    K = _tile_cap() leaves; returns the mask of the merges done.
+def _tile_pass(Y, spans, children, small, out, buf):
+    """Reduce every merge of the mask small, the merges inside a tile, a
+    maximal subtree of at most K = _tile_cap() leaves, and return
+    (merges, dmin, first, dmax) of them, as a unit of _run_units does.
 
     A tile's leaves are one contiguous row range.  Tiles next to each
     other in DFS order share a window of at most K rows, and one cdist
     block of a window against itself holds every cross pair of its
     merges: merge (a0, a1, b0, b1) reads rows a0..a1-1, columns
     b0..b1-1.  Windows are stacked into blocks of at most _CHUNK_ELEMS
-    entries, each reduced at once by _block_extremes."""
+    entries, each reduced at once by _block_extremes, in buf."""
     K = _tile_cap()
     a0, a1, b0, b1 = spans.T
-    small = b1 - a0 <= K
-    if K < 2 or not small.any():
-        return np.zeros(len(spans), dtype=bool)
     root = small.copy()
     kids = children[small]
     root[kids[kids >= 0]] = False  # a small merge under a small merge is not a tile root
@@ -299,7 +315,8 @@ def _tile_pass(Y, spans, children, out) -> np.ndarray:
     sc1 = np.repeat(b1[M] - w0[win], na)[order]
     smerge = np.repeat(M, na)[order]
     bseg = np.searchsorted(srow, np.arange(len(cuts)) * band)
-    V = np.zeros((band, K))
+    V = buf[: band * K].reshape(band, K)
+    V.fill(0.0)
     for b in range(len(cuts) - 1):
         for w in range(cuts[b], cuts[b + 1]):
             r, lo, hi = int(base[w]) - b * band, int(w0[w]), int(w1[w])
@@ -309,11 +326,12 @@ def _tile_pass(Y, spans, children, out) -> np.ndarray:
         rows = slice(b * band, (b + 1) * band)
         seg = (srow[s:e] - b * band, sc0[s:e], sc1[s:e], local)
         _block_extremes(V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool), out)
-    return small
+    dmin, first, dmax = out
+    return M, dmin[M], first[M], dmax[M]
 
 
-def _run_pass(Y, F, spans, children, todo, out):
-    """Reduce every merge of the mask todo along heavy paths.
+def _run_units(Y, F, spans, children, todo, out, buf, parts):
+    """Units that reduce every merge of the mask todo along heavy paths.
 
     Each merge reads the rows of its smaller child (on a tie the right
     one) against the contiguous span of its larger child.  A heavy path
@@ -328,9 +346,14 @@ def _run_pass(Y, F, spans, children, todo, out):
     screened from the factors F = _screen_factors(Y), as in
     Dendrogram.cross_stats.  A merge whose own block exceeds those caps,
     and the merges of a block whose distances tie, are reduced on their
-    own by _merge_extremes."""
+    own by _merge_extremes.
+
+    A unit is a callable returning (merges, dmin, first, dmax) for the
+    merges it reduced; each run block is one (_run_unit, which writes
+    into out first).  A merge too large for one block is one unit, or
+    with parts, one per _PART_BLOCKS row bands of its _blocks, whose
+    partial results the caller folds in order."""
     m, d = len(spans), Y.shape[1]
-    dmin, first, dmax = out
     a0, a1, b0, b1 = spans.T
     add_left = a1 - a0 < b1 - b0
     s0 = np.where(add_left, a0, b0)
@@ -365,33 +388,70 @@ def _run_pass(Y, F, spans, children, todo, out):
             rows = 0
         rows += add[j]
     cuts.append(len(M))
-    alone = np.flatnonzero(todo & ~fits).tolist()
-    buf = np.empty(_CHUNK_ELEMS)
-    for j, k in zip(cuts[:-1], cuts[1:]):
-        merges = M[j:k]
-        sz = s1[merges] - s0[merges]
-        R = int(sz.sum())
-        lo, hi = int(g0[merges[-1]]), int(g1[merges[-1]])
-        rowpos = np.repeat(s0[merges], sz) + _steps(sz)
-        seg = (
-            np.arange(R),
-            np.repeat(g0[merges] - lo, sz),
-            np.repeat(g1[merges] - lo, sz),
-            np.repeat(np.arange(len(merges)), sz),
-        )
-        A, B = Y[rowpos], Y[lo:hi]
-        factors = None
-        if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
-            factors = _row_factors(F, rowpos, lo, hi)
-        if factors is None:
-            V, screen = cross_distances(A, B), None
-        else:
-            L, E = factors
-            V, screen = np.matmul(L, F[lo:hi].T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
-        if not _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True):
-            alone += merges.tolist()  # tied: the candidates would fill the block
-    for i in alone:
-        dmin[i], first[i], dmax[i] = _merge_extremes(Y, F, *spans[i].tolist(), buf)
+    layout = (s0, s1, g0, g1, add_left)
+    units = [partial(_run_unit, Y, F, spans, layout, M[j:k], out, buf) for j, k in zip(cuts[:-1], cuts[1:])]
+    alone = np.flatnonzero(todo & ~fits)
+    for i, (r0, r1, c0, c1) in zip(alone.tolist(), spans[alone].tolist()):
+        step = _PART_BLOCKS * max(1, _CHUNK_ELEMS // min(c1 - c0, _CHUNK_ELEMS)) if parts else r1 - r0
+        units += [partial(_merge_part, Y, F, i, ra, min(ra + step, r1), c0, c1, buf) for ra in range(r0, r1, step)]
+    return units
+
+
+def _run_unit(Y, F, spans, layout, merges, out, buf):
+    """One run block's unit of _run_units: its merges, reduced on their
+    own when the block's distances tie, which is done once the block is
+    freed."""
+    if not _run_block(Y, F, layout, merges, out, buf):
+        dmin, first, dmax = out
+        for i in merges.tolist():  # tied: the candidates would fill the block
+            dmin[i], first[i], dmax[i] = _merge_extremes(Y, F, *spans[i].tolist(), buf)
+    return merges, out[0][merges], out[1][merges], out[2][merges]
+
+
+def _run_block(Y, F, layout, merges, out, buf) -> bool:
+    """Reduce the merges of one run block into out; returns whether they
+    were reduced (_block_extremes)."""
+    s0, s1, g0, g1, add_left = layout
+    sz = s1[merges] - s0[merges]
+    R = int(sz.sum())
+    lo, hi = int(g0[merges[-1]]), int(g1[merges[-1]])
+    rowpos = np.repeat(s0[merges], sz) + _steps(sz)
+    seg = (
+        np.arange(R),
+        np.repeat(g0[merges] - lo, sz),
+        np.repeat(g1[merges] - lo, sz),
+        np.repeat(np.arange(len(merges)), sz),
+    )
+    A, B = Y[rowpos], Y[lo:hi]
+    factors = None
+    if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
+        factors = _row_factors(F, rowpos, lo, hi)
+    if factors is None:
+        V, screen = cross_distances(A, B), None
+    else:
+        L, E = factors
+        V, screen = np.matmul(L, F[lo:hi].T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
+    return _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True)
+
+
+def _merge_part(Y, F, i, a0, a1, b0, b1, buf):
+    """The extremes of merge i over its rows [a0, a1) only, as a unit's result."""
+    near, at, far = _merge_extremes(Y, F, a0, a1, b0, b1, buf)
+    return np.array([i]), np.array([near]), np.array([at], dtype=np.int64), np.array([far])
+
+
+def _inv_part(Y, spans):
+    """Per merge of spans, the sum of 1 / distance over its cross pairs,
+    through the cdist blocks of _blocks in order."""
+    out = np.empty(len(spans))
+    with np.errstate(divide="ignore"):
+        for i, (a0, a1, b0, b1) in enumerate(spans.tolist()):
+            inv = 0.0
+            for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+                block = cross_distances(Y[ra:re], Y[cb:ce])
+                inv += np.reciprocal(block, out=block).sum()
+            out[i] = inv
+    return out
 
 
 @dataclass
@@ -468,18 +528,41 @@ class Dendrogram:
         No cdist or GEMM block has more than _CHUNK_ELEMS entries.  The
         result depends only on topology and points, so it is memoized per
         PointSet object.
+
+        When the cross pairs outside the tiles reach _POOL_MIN_PAIRS, the
+        units, the tile pass, each run block and each _PART_BLOCKS row
+        bands of a merge too large for one block, run on core.fork_map's
+        workers, which inherit the points and factors at fork; the parent
+        folds their results in unit order, so the output is bitwise that
+        of the serial pass.
         """
         if self._cross is not None and self._cross[0] is points:
             return self._cross[1]
         Y, spans = self._dfs_layout(points)
         m = len(spans)
-        dmin = np.empty(m)
-        dmax = np.empty(m)
-        first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
-        out = (dmin, first, dmax)
         children = np.column_stack((self.left, self.right)) - self.n  # merge rows; < 0 for leaves
         children[children < 0] = -1
-        _run_pass(Y, _screen_factors(Y), spans, children, ~_tile_pass(Y, spans, children, out), out)
+        a0, a1, b0, b1 = spans.T
+        small = b1 - a0 <= _tile_cap()
+        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum())
+        # each process, the parent when serial, runs its units in its own
+        # scratch and buffer
+        scratch = (np.empty(m), np.empty((m, 2), dtype=np.int64), np.empty(m))
+        buf = np.empty(_CHUNK_ELEMS)
+        units = _run_units(Y, _screen_factors(Y), spans, children, ~small, scratch, buf, workers > 1)
+        if small.any():
+            units.insert(0, partial(_tile_pass, Y, spans, children, small, scratch, buf))
+        dmin = np.full(m, np.inf)
+        dmax = np.full(m, -np.inf)
+        first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
+        with fork_map(lambda u: units[u](), range(len(units)), workers, label="block") as results:
+            # a merge in parts gets them in row order, so the strict < keeps
+            # its first pair at the minimum; any other merge is in one unit
+            for merges, near, at, far in results:
+                closer = near < dmin[merges]
+                dmin[merges[closer]] = near[closer]
+                first[merges[closer]] = at[closer]
+                dmax[merges] = np.maximum(dmax[merges], far)
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
         object.__setattr__(self, "_cross", (points, stats))
@@ -488,17 +571,20 @@ class Dendrogram:
     def inv_sums(self, points: PointSet) -> np.ndarray:
         """Per merge, the sum of 1 / distance over its cross pairs (inf if
         one is 0): every pair once, through the cdist blocks of _blocks.
-        Only the mean distortion needs it, so it is computed on demand."""
+        Only the mean distortion needs it, so it is computed on demand.
+        Past the crossover of cross_stats, runs of whole merges, cut at
+        about equal pair counts, are the units of core.fork_map, so each
+        merge sums its blocks in the same order as a serial scan."""
         Y, spans = self._dfs_layout(points)
-        out = np.empty(len(spans))
-        with np.errstate(divide="ignore"):
-            for i, (a0, a1, b0, b1) in enumerate(spans.tolist()):
-                inv = 0.0
-                for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
-                    block = cross_distances(Y[ra:re], Y[cb:ce])
-                    inv += np.reciprocal(block, out=block).sum()
-                out[i] = inv
-        return out
+        pairs = np.cumsum((spans[:, 1] - spans[:, 0]) * (spans[:, 3] - spans[:, 2]))
+        workers = _workers(pairs[-1] if len(pairs) else 0)
+        cuts = [0, len(spans)]
+        if workers > 1:
+            cuts[1:1] = np.unique(np.searchsorted(pairs, pairs[-1] * np.arange(1, _INV_UNITS) / _INV_UNITS)).tolist()
+        # the last merges, the root's among them, hold the most pairs: they go first
+        ids = range(len(cuts) - 2, -1, -1)
+        with fork_map(lambda u: _inv_part(Y, spans[cuts[u] : cuts[u + 1]]), ids, workers, label="merge run") as sums:
+            return np.concatenate(list(sums)[::-1])
 
     # -- LCA heights -------------------------------------------------------
 

@@ -7,18 +7,14 @@ the output is connected for every seed.
 """
 
 import math
-import multiprocessing
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing.connection import wait
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import PointSet, chunks, compact, edge_distances, index_dtype, paired_distances
+from .core import PointSet, chunks, compact, edge_distances, fork_map, index_dtype, paired_distances, worker_limit
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 _MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
@@ -29,9 +25,6 @@ _MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
 # d = 4, 600-750 at d = 8 and 500-750 at d = 16, below 500 at d = 2 and
 # d = 77, and the pooled build won at every d from 1000 rows
 _POOL_MIN_ROWS = 1000
-# workers at most: they were measured on 2 cores only, and each worker
-# holds a scale's buffers beside the parent's
-_MAX_WORKERS = 2
 # rows per X @ proj block.  OpenBLAS threads a product by its size, and
 # whole-matrix products on two workers oversubscribe two cores: on uniform
 # 20,000x16 under OpenBLAS's default threads the spanner took 3.3-3.5 s
@@ -169,101 +162,8 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
 
 def _worker_count(n: int, scale_count: int) -> int:
     """Processes to run scale_count scales of n points in: one (serial)
-    below the crossover, without fork, on one usable CPU, or inside a
-    daemonic process, which may not start children."""
-    if (
-        n < _POOL_MIN_ROWS
-        or not hasattr(os, "sched_getaffinity")
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), scale_count, _MAX_WORKERS)
-
-
-def _serve(job, conn, parent_ends):
-    """A worker's loop: job(si) for each scale id si the parent sends,
-    answered as (True, result) or (False, the exception raised).  Ends
-    when the parent closes its end or terminates the worker.  The parent's
-    ends inherited at fork are closed first, so that the death of the
-    parent reads as EOF here."""
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            si = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, job(si))
-        except Exception as exc:
-            reply = (False, exc)
-        conn.send(reply)
-
-
-def _in_order(conns, scale_ids):
-    """The workers' results for scale_ids, in order.  Each idle worker is
-    sent the next scale id, and every ready result is taken as soon as the
-    caller asks for the next one; results that arrive ahead of their turn
-    wait in a dict.  A worker's exception is raised here, and a worker that
-    dies (EOF on its pipe) raises an error naming the scale it held."""
-    todo = iter(scale_ids)
-    busy = {}  # connection -> the scale id its worker computes
-    ready = {}  # scale id -> result
-    for conn in conns:
-        si = next(todo, None)
-        if si is not None:
-            conn.send(si)
-            busy[conn] = si
-    for si in scale_ids:
-        while si not in ready:
-            for conn in wait(list(busy)):
-                sj = busy.pop(conn)
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    raise RuntimeError(f"the spanner worker computing scale {sj} died") from None
-                if not ok:
-                    raise value
-                ready[sj] = value
-                nxt = next(todo, None)
-                if nxt is not None:
-                    conn.send(nxt)
-                    busy[conn] = nxt
-        yield ready.pop(si)
-
-
-@contextmanager
-def _scale_results(job, scale_count: int, n: int):
-    """job(si) for si = 1 .. scale_count, in order: from forked worker
-    processes, which inherit job, each talk to the parent over a pipe of
-    its own and compute ahead of the caller, or from the builtin map.  No
-    worker outlives the block."""
-    scale_ids = range(1, scale_count + 1)
-    workers = _worker_count(n, scale_count)
-    if workers < 2:
-        yield map(job, scale_ids)
-        return
-    fork = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for _ in range(workers):
-            conn, child = fork.Pipe()
-            conns.append(conn)
-            proc = fork.Process(target=_serve, args=(job, child, tuple(conns)), daemon=True)
-            proc.start()
-            procs.append(proc)
-            child.close()  # the worker's end, so its death reads as EOF here
-        yield _in_order(conns, scale_ids)
-    finally:
-        # a worker shares no lock with the parent, so it can be killed
-        # anywhere, mid-send included
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+    below the crossover, else as many as core.worker_limit allows."""
+    return 1 if n < _POOL_MIN_ROWS else min(worker_limit(), scale_count)
 
 
 def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
@@ -275,8 +175,8 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     member closest to the bucket mean.  The coarsest scale r_0 needs no
     hashing: its cell width >= the bbox diameter, so all points share one
     bucket, realized as a star on the lowest-index point.  The finer scales
-    are independent, so they run in forked worker processes when n makes
-    that pay (_worker_count); the edges are the same either way.
+    are independent, so they run on core.fork_map's worker processes when
+    n makes that pay (_worker_count); the edges are the same either way.
     """
     n = points.n
     X = points.coords
@@ -287,7 +187,8 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     # scale's pairs are held at a time
     union = np.arange(1, n, dtype=np.uint64)  # coarsest-scale star on point 0
     job = partial(_scale_pairs, X, config, scales)
-    with _scale_results(job, len(scales) - 1, n) as results:
+    scale_ids = range(1, len(scales))
+    with fork_map(job, scale_ids, _worker_count(n, len(scale_ids)), label="scale") as results:
         for nontrivial, scale in results:
             if scale is not None:
                 # two sorted runs, which a stable sort merges in linear time

@@ -1,4 +1,8 @@
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +19,27 @@ def no_process_left():
             proc.terminate()
             proc.join()
         pytest.fail(message)
+
+
+def _run_bounded(script, timeout):
+    """Run script in a fresh interpreter with tests/ on its path, in a
+    session of its own; past timeout seconds the whole session, workers
+    included, is killed and the test fails."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, os.path.dirname(__file__)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+@pytest.fixture
+def run_bounded():
+    """_run_bounded(script, timeout): the script's standard output."""
+    return _run_bounded

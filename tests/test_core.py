@@ -1,10 +1,12 @@
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
-from ultrafit import PointSet, dedupe, distance
-from ultrafit.core import canonical_edges, cross_distances, distance_matrix, paired_distances
+from ultrafit import PointSet, dedupe, distance, exact_mst
+from ultrafit import core as core_mod
+from ultrafit.core import canonical_edges, cross_distances, distance_matrix, fork_map, paired_distances, worker_limit
 
 
 def test_distance_axis_aligned():
@@ -68,6 +70,137 @@ def test_pointset_immutable():
     p = PointSet([[1.0, 2.0]])
     with pytest.raises(ValueError):
         p.coords[0, 0] = 5.0
+
+
+def test_pointset_equality_is_by_value():
+    x = np.random.default_rng(5).random((20, 3))
+    p = PointSet(x)
+    assert p == PointSet(x.copy()) and not p != PointSet(x.copy())
+    exact_mst(p)  # caches the tree on p alone
+    assert p == PointSet(x)
+    y = x.copy()
+    y[7, 1] += 1e-9
+    assert p != PointSet(y) and not p == PointSet(y)
+
+
+def test_pointset_equality_across_shapes_and_types():
+    p = PointSet(np.arange(6.0).reshape(3, 2))
+    assert p != PointSet(np.arange(6.0).reshape(2, 3))
+    assert p != PointSet(np.arange(6.0).reshape(6, 1))
+    assert p != PointSet(np.arange(4.0).reshape(2, 2))
+    assert p != p.coords.tolist() and not p == p.coords.tolist()
+    assert p != "points" and p != None  # noqa: E711
+    assert p.__eq__(p.coords) is NotImplemented  # other types decide for themselves
+
+
+def test_pointset_is_not_hashable():
+    with pytest.raises(TypeError):
+        hash(PointSet([[0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "text, cpus",
+    [("200000 100000\n", 2), ("150000 100000\n", 2), ("50000 100000\n", 1), ("100000 100000\n", 1),
+     ("max 100000\n", None), ("", None), ("garbage\n", None), ("100000 0\n", None)],
+)
+def test_cpu_quota_reads_the_cgroup_file(text, cpus, tmp_path, monkeypatch):
+    cpu_max = tmp_path / "cpu.max"
+    cpu_max.write_text(text)
+    monkeypatch.setattr(core_mod, "_CPU_MAX", str(cpu_max))
+    assert core_mod._cpu_quota() == cpus
+
+
+def test_cpu_quota_without_the_file_is_none(tmp_path, monkeypatch):
+    monkeypatch.setattr(core_mod, "_CPU_MAX", str(tmp_path / "absent"))
+    assert core_mod._cpu_quota() is None
+
+
+def test_worker_limit_honours_the_cpu_quota(monkeypatch):
+    monkeypatch.setattr(core_mod, "_cpu_quota", lambda: None)
+    free = worker_limit()
+    assert 1 <= free <= core_mod._MAX_WORKERS
+    monkeypatch.setattr(core_mod, "_cpu_quota", lambda: 1)
+    assert worker_limit() == 1
+    monkeypatch.setattr(core_mod, "_cpu_quota", lambda: 64)
+    assert worker_limit() == free
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_map_yields_in_id_order(workers):
+    table = np.random.default_rng(6).random(40)  # inherited by the workers at fork
+
+    def job(i):
+        return i, float(table[i] * 3)
+
+    ids = [17, 3, 39, 0, 8, 22, 5, 31]
+    with fork_map(job, ids, workers) as results:
+        assert list(results) == [job(i) for i in ids]
+
+
+@needs_fork
+def test_fork_map_raises_a_worker_error():
+    def job(i):
+        if i == 5:
+            raise ValueError("unit 5 failed")
+        return i
+
+    with pytest.raises(ValueError, match="unit 5 failed"):
+        with fork_map(job, range(12), 2) as results:
+            list(results)
+
+
+@needs_fork
+def test_fork_map_raises_when_a_worker_dies(run_bounded):
+    # a worker that exits without a reply loses its id; the parent must name
+    # it and stop the other worker instead of waiting for it
+    script = (
+        "import multiprocessing, os, sys, time\n"
+        "from ultrafit.core import fork_map\n"
+        "def job(i):\n"
+        "    if i == 7:\n"
+        "        os._exit(1)\n"
+        "    time.sleep(0.005)\n"
+        "    return i\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        "    with fork_map(job, range(20), 2, label='unit') as results:\n"
+        "        list(results)\n"
+        "except RuntimeError as exc:\n"
+        "    print(time.perf_counter() - t0, exc)\n"
+        "else:\n"
+        "    sys.exit('fork_map returned')\n"
+        "assert multiprocessing.active_children() == []\n"
+    )
+    seconds, message = run_bounded(script, timeout=30).split(" ", 1)
+    assert "unit 7" in message
+    assert float(seconds) < 5
+
+
+@needs_fork
+def test_fork_map_stops_workers_mid_send_without_hanging(run_bounded):
+    # every id from 3 on returns 16 MiB, so a worker is often sending when
+    # the parent, done after four results, leaves the block and terminates it
+    script = (
+        "import multiprocessing\n"
+        "import numpy as np\n"
+        "from ultrafit.core import fork_map\n"
+        "payload = np.ones(2**21, dtype=np.uint64)\n"
+        "def job(i):\n"
+        "    return payload if i >= 3 else i\n"
+        "for _ in range(200):\n"
+        "    with fork_map(job, range(10), 2) as results:\n"
+        "        got = [next(results) for _ in range(4)]\n"
+        "    assert got[:3] == [0, 1, 2] and (got[3] == payload).all()\n"
+        "    assert multiprocessing.active_children() == []\n"
+        "print('done')\n"
+    )
+    assert run_bounded(script, timeout=120).strip() == "done"
 
 
 def test_triangle_inequality_sampled():

@@ -23,7 +23,7 @@ from ultrafit import (
     to_newick,
 )
 from ultrafit import dendro as dendro_mod
-from ultrafit.core import cross_distances
+from ultrafit.core import cross_distances, worker_limit
 
 COLLINEAR = PointSet([[0.0], [1.0], [3.0]])
 
@@ -544,6 +544,14 @@ def test_screen_falls_back_near_overflow(monkeypatch):
 # -- the batched kernel against the per-merge oracle -------------------------
 
 
+@pytest.fixture
+def pool(monkeypatch):
+    """Every cross_stats and inv_sums call runs its units in worker processes."""
+    monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
+    if worker_limit() < 2:
+        pytest.skip("needs fork and two usable CPUs")
+
+
 def _oracle(d, p):
     """The per-merge kernel: every merge reduced on its own through the
     _blocks blocks of _merge_extremes, screened when it is large."""
@@ -641,9 +649,10 @@ def _one_hot():
     return p, single_linkage(p)
 
 
-def _spy_blocks(monkeypatch):
+def _spy_blocks(monkeypatch, cap):
     """Sizes of every cdist block (cross_distances and paired_distances) and
-    every GEMM output."""
+    every GEMM output of this process; in any process, a block beyond cap
+    raises."""
     from ultrafit import core as core_mod
 
     sizes = []
@@ -651,11 +660,13 @@ def _spy_blocks(monkeypatch):
 
     def cdist_spy(a, b, *args, **kw):
         out = cdist(a, b, *args, **kw)
+        assert out.size <= cap, f"a cdist block of {out.size} entries"
         sizes.append(out.size)
         return out
 
     def matmul_spy(a, b, *args, **kw):
         out = matmul(a, b, *args, **kw)
+        assert out.size <= cap, f"a GEMM block of {out.size} entries"
         sizes.append(out.size)
         return out
 
@@ -664,8 +675,8 @@ def _spy_blocks(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 1 << 12, 5], ids=["default-chunk", "chunk4096", "chunk5"])
-@pytest.mark.parametrize(
+_BATCHED_CHUNKS = pytest.mark.parametrize("chunk", [1 << 18, 1 << 12, 5], ids=["default-chunk", "chunk4096", "chunk5"])
+_BATCHED_TREES = pytest.mark.parametrize(
     "make",
     [
         _chain_left, _chain_right, _chain_mixed, _runs_mixed, _collinear_left, _collinear_right, _one_hot,
@@ -673,15 +684,33 @@ def _spy_blocks(monkeypatch):
     ],
     ids=lambda f: f.__name__[1:],
 )
-def test_batched_cross_stats_match_oracle(make, chunk, monkeypatch):
+
+
+def _check_batched(make, chunk, monkeypatch, pooled):
+    """cross_stats of make's tree against the oracle and a dense scan;
+    pooled when the pool fixture forced the crossover to 0."""
     p, d = make()
     monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", chunk)
     want = _oracle(d, p)
-    sizes = _spy_blocks(monkeypatch)
+    sizes = _spy_blocks(monkeypatch, chunk)  # no cdist or GEMM block beyond the cap
     got = replace(d, _cross=None).cross_stats(p)
-    assert 0 < max(sizes) <= chunk  # no cdist or GEMM block beyond the cap
+    if not pooled:  # pooled, the blocks are the workers'
+        assert sizes
+    monkeypatch.undo()  # the dense check's own block exceeds the cap
     _assert_bitwise(got, want)
     _dense_check(p, d, got)
+
+
+@_BATCHED_CHUNKS
+@_BATCHED_TREES
+def test_batched_cross_stats_match_oracle(make, chunk, monkeypatch):
+    _check_batched(make, chunk, monkeypatch, pooled=False)
+
+
+@_BATCHED_CHUNKS
+@_BATCHED_TREES
+def test_pooled_batched_cross_stats_match_oracle(make, chunk, pool, monkeypatch):
+    _check_batched(make, chunk, monkeypatch, pooled=True)
 
 
 def test_chain_fixtures_reach_every_batch_kind(monkeypatch):
@@ -751,7 +780,7 @@ def _blobs(n, d, seed):
 
 
 @pytest.mark.slow
-def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
+def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch, request):
     from ultrafit import run_algorithm
 
     blobs = PointSet(_blobs(3000, 16, 61))
@@ -768,6 +797,7 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
     monkeypatch.setattr(dendro_mod, "_merge_extremes", spy)
     blocks = _spy_block_extremes(monkeypatch)
     cap = dendro_mod._CHUNK_ELEMS
+    cases_done = []  # then once more with the pool forced
     for p, algo in cases:
         d = run_algorithm(algo, p).dendrogram
         spans = d._dfs_layout(p)[1]
@@ -780,3 +810,114 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
             na, nb = a1 - a0, b1 - b0
             assert na * nb > cap or min(na, nb) * p.d > cap or (a0, a1, b0, b1) in tied, algo
         _assert_bitwise(got, _oracle(d, p))
+        cases_done.append((p, d, got))
+    request.getfixturevalue("pool")
+    for p, d, got in cases_done:
+        _assert_bitwise(replace(d, _cross=None).cross_stats(p), got)
+
+
+# -- cross_stats and inv_sums on the fork map ---------------------------------
+
+
+def _serial_stats(d, p, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(dendro_mod, "_POOL_MIN_PAIRS", float("inf"))
+        return replace(d, _cross=None).cross_stats(p)
+
+
+def test_cross_stats_pools_only_past_the_crossover(monkeypatch):
+    # every tree of up to 4096 points stays serial, those of the benchmark's
+    # 1800-row workload included
+    assert 4096 * 4095 // 2 < dendro_mod._POOL_MIN_PAIRS
+    p = PointSet(np.random.default_rng(70).random((600, 4)))
+    d = single_linkage(p)
+    _, spans = d._dfs_layout(p)
+    a0, a1, b0, b1 = spans.T
+    outside = int(((a1 - a0) * (b1 - b0))[b1 - a0 > dendro_mod._tile_cap()].sum())
+    asked = []
+    fork_map = dendro_mod.fork_map
+
+    def spy(job, ids, workers, label="item"):
+        asked.append(workers)
+        return fork_map(job, ids, workers, label)
+
+    monkeypatch.setattr(dendro_mod, "fork_map", spy)
+    for threshold, workers in ((outside + 1, 1), (outside, worker_limit())):
+        monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", threshold)
+        asked.clear()
+        replace(d, _cross=None).cross_stats(p)
+        assert asked == [workers]
+
+
+@pytest.mark.parametrize("algo", ["approx", "acc", "exact", "single", "complete", "average", "ward"])
+def test_pooled_cross_stats_match_serial_for_every_algorithm(algo, pool, monkeypatch):
+    from ultrafit import run_algorithm
+
+    # a small block cap makes the large merges split into several units
+    cap = 1 << 12
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", cap)
+    p = PointSet(_blobs(700, 5, 71))
+    d = run_algorithm(algo, p).dendrogram
+    a0, a1, b0, b1 = d._dfs_layout(p)[1].T
+    band = np.maximum(1, cap // np.minimum(b1 - b0, cap))  # rows of one _blocks block
+    assert ((a1 - a0) * (b1 - b0) > cap)[a1 - a0 > dendro_mod._PART_BLOCKS * band].any()  # a merge in parts
+    _assert_bitwise(replace(d, _cross=None).cross_stats(p), _serial_stats(d, p, monkeypatch))
+
+
+def _two_hot(algo):
+    # every row holds two ones among 30 columns: distances are sqrt(2) or 2
+    from ultrafit import run_algorithm
+
+    x = np.zeros((435, 30))
+    rows, cols = np.triu_indices(30, 1)
+    x[np.arange(435), rows] = x[np.arange(435), cols] = 1.0
+    p = PointSet(x)
+    return p, run_algorithm(algo, p).dendrogram
+
+
+@pytest.mark.parametrize("tree", ["one-hot", "approx", "average"])
+def test_pooled_cross_stats_match_serial_on_tied_blocks(tree, pool, monkeypatch):
+    p, d = _one_hot() if tree == "one-hot" else _two_hot(tree)
+    blocks = _spy_block_extremes(monkeypatch)
+    serial = _serial_stats(d, p, monkeypatch)
+    assert any(not b.reduced for b in blocks)  # the _TIED_SHARE fallback runs
+    _assert_bitwise(replace(d, _cross=None).cross_stats(p), serial)
+
+
+def _split_tie():
+    """Two 40-leaf combs: left leaves at (i, 0), right ones at (j, 11) but
+    for two at (12, 10) and (30, 10).  The root's cross pairs reach their
+    minimum 10 exactly twice, on left rows 12 and 30 (DFS order)."""
+    left = [(float(i), 0.0) for i in range(40)]
+    right = [(float(j), 10.0 if j in (12, 30) else 11.0) for j in range(40)]
+    p = PointSet(left + right)
+    rows_l = [0] + list(range(80, 118))
+    rows_r = [40] + list(range(119, 157))
+    lefts = rows_l + rows_r + [118]
+    rights = list(range(1, 40)) + list(range(41, 80)) + [157]
+    return p, from_merge_rows(80, lefts, rights, np.arange(1.0, 80.0))
+
+
+@pytest.mark.parametrize("screen", [1 << 12, 1], ids=["plain", "screened"])
+def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypatch):
+    p, d = _split_tie()
+    # 40 columns a row: one row per block, _PART_BLOCKS rows per unit
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", 64)
+    monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", screen)
+    Y, spans = d._dfs_layout(p)
+    root = len(spans) - 1
+    assert spans[root].tolist() == [0, 40, 40, 80]
+    assert 12 // dendro_mod._PART_BLOCKS != 30 // dendro_mod._PART_BLOCKS  # ties in two units
+    got = replace(d, _cross=None).cross_stats(p)
+    assert got.dmin[root] == 10.0 and got.pair[root].tolist() == [12, 52]
+    _assert_bitwise(got, _serial_stats(d, p, monkeypatch))
+    _assert_bitwise(got, _oracle(d, p))
+    _dense_check(p, d, got)
+
+
+@pytest.mark.parametrize("make", [_big_grid, _duplicates, _runs_mixed], ids=lambda f: f.__name__[1:])
+def test_pooled_inv_sums_match_serial(make, pool, monkeypatch):
+    p, d = make()
+    pooled = d.inv_sums(p)
+    monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", float("inf"))
+    assert pooled.tobytes() == d.inv_sums(p).tobytes()

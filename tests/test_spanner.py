@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -261,6 +260,12 @@ def test_worker_count_is_serial_below_the_crossover_and_at_most_two():
     assert _worker_count(10**6, 1) == 1
 
 
+def test_worker_count_follows_the_cpu_quota(monkeypatch):
+    # a container held to one CPU by its cgroup quota builds serially
+    monkeypatch.setattr(core_mod, "_cpu_quota", lambda: 1)
+    assert _worker_count(10**6, 31) == 1
+
+
 @pytest.fixture
 def pooled(monkeypatch):
     """Every build_spanner call runs its scales in worker processes."""
@@ -333,25 +338,7 @@ def test_pooled_spanner_over_row_blocks_matches_reference_under_blas_threads(poo
         assert proc.returncode == 0, proc.stderr
 
 
-def _run_bounded(script, timeout):
-    """Run script in a fresh interpreter with tests/ on its path, in a
-    session of its own; past timeout seconds the whole session, workers
-    included, is killed and the test fails."""
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, os.path.dirname(__file__)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail(f"still running after {timeout} s")
-    assert proc.returncode == 0, err
-    return out
-
-
-def test_pooled_spanner_raises_when_a_worker_dies(pooled):
+def test_pooled_spanner_raises_when_a_worker_dies(pooled, run_bounded):
     # a worker that exits without a reply loses its scale; the parent must
     # name that scale and stop the other worker instead of waiting for it
     script = (
@@ -376,12 +363,12 @@ def test_pooled_spanner_raises_when_a_worker_dies(pooled):
         "    sys.exit('build_spanner returned')\n"
         "assert multiprocessing.active_children() == []\n"
     )
-    seconds, message = _run_bounded(script, timeout=30).split(" ", 1)
+    seconds, message = run_bounded(script, timeout=30).split(" ", 1)
     assert "scale 3" in message
     assert float(seconds) < 5
 
 
-def test_pooled_spanner_stops_workers_mid_send_without_hanging(pooled):
+def test_pooled_spanner_stops_workers_mid_send_without_hanging(pooled, run_bounded):
     # every scale past the first trivial one returns 16 MiB, so a worker is
     # often sending when the parent, done at that scale, terminates it
     script = (
@@ -409,5 +396,5 @@ def test_pooled_spanner_stops_workers_mid_send_without_hanging(pooled):
         "    assert multiprocessing.active_children() == []\n"
         "print(first, len(scales))\n"
     )
-    first, count = map(int, _run_bounded(script, timeout=120).split())
+    first, count = map(int, run_bounded(script, timeout=120).split())
     assert first < count - 2  # two or more heavy scales per build
