@@ -25,7 +25,10 @@ _TILE = 128  # rows and columns of one distance_matrix tile
 # workers at most: they were measured on 2 cores only, and each worker
 # holds its own buffers beside the parent's
 _MAX_WORKERS = 2
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # cgroup v2 CPU quota: "<quota> <period>" or "max <period>"
+# the cgroup v2 mount, and this process's line "0::<path>" below it; each
+# cgroup's cpu.max holds its CPU quota, "<quota> <period>" or "max <period>"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_SELF_CGROUP = "/proc/self/cgroup"
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,22 +212,44 @@ def compact(a: np.ndarray, keep) -> np.ndarray:
     return a[:kept]
 
 
-def _cpu_quota() -> int | None:
-    """CPUs the cgroup v2 quota in _CPU_MAX allows, ceil(quota / period);
-    None where that file is absent or unreadable or reads max."""
+def _cgroup_dirs() -> list[str]:
+    """This process's cgroup v2 directory under _CGROUP_ROOT, then each
+    ancestor up to the root itself.  Inside a cgroup namespace (a
+    container) the path reads "/", so only the root is listed."""
+    path = "/"
     try:
-        with open(_CPU_MAX, encoding="ascii") as fh:
-            quota, period = fh.read().split()[:2]
-        return None if quota == "max" else max(1, math.ceil(int(quota) / int(period)))
-    except (OSError, ValueError, ZeroDivisionError):
-        return None
+        with open(_SELF_CGROUP, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("0::"):
+                    path = line[3:].strip()
+    except OSError:
+        pass
+    parts = [p for p in path.split("/") if p]
+    return [os.path.join(_CGROUP_ROOT, *parts[:k]) for k in range(len(parts), -1, -1)]
+
+
+def _cpu_quota() -> int | None:
+    """CPUs the tightest cgroup v2 quota over this process's cgroup and
+    its ancestors allows, ceil(quota / period); None where no cpu.max on
+    that path is readable and sets a quota (absent, max, or malformed)."""
+    cpus = []
+    for directory in _cgroup_dirs():
+        try:
+            with open(os.path.join(directory, "cpu.max"), encoding="ascii") as fh:
+                quota, period = fh.read().split()[:2]
+            if quota != "max":
+                cpus.append(max(1, math.ceil(int(quota) / int(period))))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return min(cpus, default=None)
 
 
 def worker_limit() -> int:
     """Worker processes that fork_map may run: one (serial) without fork,
     inside a daemonic process, which may not start children, or on one
-    usable CPU, counted from the affinity mask and the cgroup CPU quota
-    (the mask alone does not see a quota); at most _MAX_WORKERS."""
+    usable CPU, counted from the affinity mask and the cgroup CPU quotas
+    (_cpu_quota; the mask alone does not see a quota); at most
+    _MAX_WORKERS."""
     if (
         not hasattr(os, "sched_getaffinity")
         or "fork" not in multiprocessing.get_all_start_methods()

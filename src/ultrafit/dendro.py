@@ -112,11 +112,14 @@ _TIED_SHARE = 1 / 8
 # (medians of 7 alternated calls on approx and average trees) pooled and
 # serial calls broke even near 7.9M such pairs (4000 points) at d = 16 and
 # 2M-4.4M (2000-3000 points) at d = 77; the pool took 0.65-0.82 of the
-# serial time from 17.9M pairs at either d, and 1.5-2.3x at 0.45M
+# serial time from 17.9M pairs at either d, and 1.5-2.3x at 0.45M.  A
+# pooled inv_sums broke even near 2M-4.5M pairs at d = 16 and below 2M at
+# d = 77, so this constant is conservative for it
 _POOL_MIN_PAIRS = 1 << 23
-# _blocks row bands per unit of a merge too large for one block, when pooled
+# _blocks row bands per unit of a merge too large for one block
 _PART_BLOCKS = 8
-# runs of whole merges that a pooled inv_sums is cut into
+# runs of whole merges that a pooled inv_sums is cut into; 4, 8, 16 and 32
+# read within noise of each other at 2000-8000 points
 _INV_UNITS = 16
 
 
@@ -330,7 +333,7 @@ def _tile_pass(Y, spans, children, small, out, buf):
     return M, dmin[M], first[M], dmax[M]
 
 
-def _run_units(Y, F, spans, children, todo, out, buf, parts):
+def _run_units(Y, F, spans, children, todo, out, buf):
     """Units that reduce every merge of the mask todo along heavy paths.
 
     Each merge reads the rows of its smaller child (on a tie the right
@@ -350,9 +353,9 @@ def _run_units(Y, F, spans, children, todo, out, buf, parts):
 
     A unit is a callable returning (merges, dmin, first, dmax) for the
     merges it reduced; each run block is one (_run_unit, which writes
-    into out first).  A merge too large for one block is one unit, or
-    with parts, one per _PART_BLOCKS row bands of its _blocks, whose
-    partial results the caller folds in order."""
+    into out first).  A merge too large for one block is one unit per
+    _PART_BLOCKS row bands of its _blocks, whose partial results the
+    caller folds in order."""
     m, d = len(spans), Y.shape[1]
     a0, a1, b0, b1 = spans.T
     add_left = a1 - a0 < b1 - b0
@@ -392,7 +395,7 @@ def _run_units(Y, F, spans, children, todo, out, buf, parts):
     units = [partial(_run_unit, Y, F, spans, layout, M[j:k], out, buf) for j, k in zip(cuts[:-1], cuts[1:])]
     alone = np.flatnonzero(todo & ~fits)
     for i, (r0, r1, c0, c1) in zip(alone.tolist(), spans[alone].tolist()):
-        step = _PART_BLOCKS * max(1, _CHUNK_ELEMS // min(c1 - c0, _CHUNK_ELEMS)) if parts else r1 - r0
+        step = _PART_BLOCKS * max(1, _CHUNK_ELEMS // min(c1 - c0, _CHUNK_ELEMS))
         units += [partial(_merge_part, Y, F, i, ra, min(ra + step, r1), c0, c1, buf) for ra in range(r0, r1, step)]
     return units
 
@@ -512,12 +515,14 @@ class Dendrogram:
         - tiles (_tile_pass): a maximal subtree of at most _tile_cap()
           leaves gets one cdist block over its rows, from which all of its
           merges are read;
-        - heavy-path runs (_run_pass): every other merge reads its smaller
+        - heavy-path runs (_run_units, _run_block): every other merge reads its smaller
           child's rows against its larger child's span, and consecutive
           merges of one heavy path share a block.  The smaller child may
           be either child, so each merge keeps its own left x right order;
         - a merge too large for one block is reduced on its own, in the
-          blocks of _blocks (_merge_extremes).
+          blocks of _blocks (_merge_extremes), _PART_BLOCKS row bands of
+          them at a time; the parts are folded in row order with a strict
+          <, so the first pair at the minimum still wins.
 
         A block of at least _SCREEN_MIN_ELEMS entries is screened: one
         GEMM ranks its entries by approximate squared distance, from
@@ -530,9 +535,8 @@ class Dendrogram:
         PointSet object.
 
         When the cross pairs outside the tiles reach _POOL_MIN_PAIRS, the
-        units, the tile pass, each run block and each _PART_BLOCKS row
-        bands of a merge too large for one block, run on core.fork_map's
-        workers, which inherit the points and factors at fork; the parent
+        units (the tile pass, each run block and each part of a merge too
+        large for one block) run on core.fork_map's workers, which inherit the points and factors at fork; the parent
         folds their results in unit order, so the output is bitwise that
         of the serial pass.
         """
@@ -549,7 +553,7 @@ class Dendrogram:
         # scratch and buffer
         scratch = (np.empty(m), np.empty((m, 2), dtype=np.int64), np.empty(m))
         buf = np.empty(_CHUNK_ELEMS)
-        units = _run_units(Y, _screen_factors(Y), spans, children, ~small, scratch, buf, workers > 1)
+        units = _run_units(Y, _screen_factors(Y), spans, children, ~small, scratch, buf)
         if small.any():
             units.insert(0, partial(_tile_pass, Y, spans, children, small, scratch, buf))
         dmin = np.full(m, np.inf)

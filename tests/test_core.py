@@ -98,21 +98,52 @@ def test_pointset_is_not_hashable():
         hash(PointSet([[0.0, 1.0]]))
 
 
+def _cgroups(tmp_path, monkeypatch, line, quotas):
+    """A fake cgroup v2 tree under tmp_path: quotas maps a cgroup path
+    ("" for the root) to the text of its cpu.max, and line is this
+    process's entry in /proc/self/cgroup."""
+    root = tmp_path / "cgroup"
+    root.mkdir()
+    for path, text in quotas.items():
+        (root / path).mkdir(parents=True, exist_ok=True)
+        (root / path / "cpu.max").write_text(text)
+    self_cgroup = tmp_path / "self_cgroup"
+    self_cgroup.write_text(line)
+    monkeypatch.setattr(core_mod, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(core_mod, "_SELF_CGROUP", str(self_cgroup))
+
+
 @pytest.mark.parametrize(
     "text, cpus",
     [("200000 100000\n", 2), ("150000 100000\n", 2), ("50000 100000\n", 1), ("100000 100000\n", 1),
      ("max 100000\n", None), ("", None), ("garbage\n", None), ("100000 0\n", None)],
 )
 def test_cpu_quota_reads_the_cgroup_file(text, cpus, tmp_path, monkeypatch):
-    cpu_max = tmp_path / "cpu.max"
-    cpu_max.write_text(text)
-    monkeypatch.setattr(core_mod, "_CPU_MAX", str(cpu_max))
+    # inside a cgroup namespace the process sits at the root
+    _cgroups(tmp_path, monkeypatch, "0::/\n", {"": text})
     assert core_mod._cpu_quota() == cpus
 
 
 def test_cpu_quota_without_the_file_is_none(tmp_path, monkeypatch):
-    monkeypatch.setattr(core_mod, "_CPU_MAX", str(tmp_path / "absent"))
+    _cgroups(tmp_path, monkeypatch, "0::/\n", {})
     assert core_mod._cpu_quota() is None
+    monkeypatch.setattr(core_mod, "_SELF_CGROUP", str(tmp_path / "absent"))
+    assert core_mod._cpu_quota() is None
+
+
+@pytest.mark.parametrize(
+    "quotas, cpus",
+    [
+        ({"a/b": "100000 100000\n"}, 1),  # the process's own cgroup (systemd CPUQuota=, say)
+        ({"a": "100000 100000\n", "a/b": "max 100000\n"}, 1),  # an ancestor's quota binds too
+        ({"": "300000 100000\n", "a": "200000 100000\n", "a/b": "400000 100000\n"}, 2),  # the tightest wins
+        ({"a/b": "max 100000\n", "a": "max 100000\n"}, None),
+        ({"c": "100000 100000\n"}, None),  # a sibling's quota does not apply
+    ],
+)
+def test_cpu_quota_takes_the_tightest_over_the_cgroup_and_its_ancestors(quotas, cpus, tmp_path, monkeypatch):
+    _cgroups(tmp_path, monkeypatch, "1:name=systemd:/x\n0::/a/b\n", quotas)
+    assert core_mod._cpu_quota() == cpus
 
 
 def test_worker_limit_honours_the_cpu_quota(monkeypatch):

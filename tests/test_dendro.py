@@ -779,14 +779,18 @@ def _blobs(n, d, seed):
     return centers[rng.integers(0, 10, n)] + rng.standard_normal((n, d)) * 0.35
 
 
-@pytest.mark.slow
-def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch, request):
-    from ultrafit import run_algorithm
-
+def _benchmark_shapes():
+    """(points, algorithm) pairs shaped like the benchmark's two workloads."""
     blobs = PointSet(_blobs(3000, 16, 61))
     highd = dedupe(PointSet(np.random.default_rng(62).random((600, 77))))[0]
     cases = [(blobs, a) for a in ("approx", "acc", "single")]
-    cases += [(highd, a) for a in ("approx", "acc", "exact", "single", "average", "ward")]
+    return cases + [(highd, a) for a in ("approx", "acc", "exact", "single", "average", "ward")]
+
+
+@pytest.mark.slow
+def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
+    from ultrafit import run_algorithm
+
     alone = []  # spans of the merges reduced on their own
     merge_extremes = dendro_mod._merge_extremes
 
@@ -797,8 +801,7 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch, reque
     monkeypatch.setattr(dendro_mod, "_merge_extremes", spy)
     blocks = _spy_block_extremes(monkeypatch)
     cap = dendro_mod._CHUNK_ELEMS
-    cases_done = []  # then once more with the pool forced
-    for p, algo in cases:
+    for p, algo in _benchmark_shapes():
         d = run_algorithm(algo, p).dendrogram
         spans = d._dfs_layout(p)[1]
         alone.clear()
@@ -810,10 +813,15 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch, reque
             na, nb = a1 - a0, b1 - b0
             assert na * nb > cap or min(na, nb) * p.d > cap or (a0, a1, b0, b1) in tied, algo
         _assert_bitwise(got, _oracle(d, p))
-        cases_done.append((p, d, got))
-    request.getfixturevalue("pool")
-    for p, d, got in cases_done:
-        _assert_bitwise(replace(d, _cross=None).cross_stats(p), got)
+
+
+@pytest.mark.slow
+def test_pooled_batched_cross_stats_match_oracle_at_benchmark_shapes(pool):
+    from ultrafit import run_algorithm
+
+    for p, algo in _benchmark_shapes():
+        d = run_algorithm(algo, p).dendrogram
+        _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
 
 
 # -- cross_stats and inv_sums on the fork map ---------------------------------
@@ -898,8 +906,9 @@ def _split_tie():
     return p, from_merge_rows(80, lefts, rights, np.arange(1.0, 80.0))
 
 
-@pytest.mark.parametrize("screen", [1 << 12, 1], ids=["plain", "screened"])
-def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypatch):
+def _check_split_tie(screen, monkeypatch):
+    """cross_stats of _split_tie's tree, whose root is split into units
+    with one tie at the minimum in each of two of them."""
     p, d = _split_tie()
     # 40 columns a row: one row per block, _PART_BLOCKS rows per unit
     monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", 64)
@@ -910,9 +919,24 @@ def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypat
     assert 12 // dendro_mod._PART_BLOCKS != 30 // dendro_mod._PART_BLOCKS  # ties in two units
     got = replace(d, _cross=None).cross_stats(p)
     assert got.dmin[root] == 10.0 and got.pair[root].tolist() == [12, 52]
-    _assert_bitwise(got, _serial_stats(d, p, monkeypatch))
     _assert_bitwise(got, _oracle(d, p))
     _dense_check(p, d, got)
+    return p, d, got
+
+
+_SCREENS = pytest.mark.parametrize("screen", [1 << 12, 1], ids=["plain", "screened"])
+
+
+@_SCREENS
+def test_merge_in_parts_keeps_the_first_tied_pair(screen, monkeypatch):
+    monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", float("inf"))
+    _check_split_tie(screen, monkeypatch)
+
+
+@_SCREENS
+def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypatch):
+    p, d, got = _check_split_tie(screen, monkeypatch)
+    _assert_bitwise(got, _serial_stats(d, p, monkeypatch))
 
 
 @pytest.mark.parametrize("make", [_big_grid, _duplicates, _runs_mixed], ids=lambda f: f.__name__[1:])
