@@ -29,6 +29,7 @@ _MAX_WORKERS = 2
 # cgroup's cpu.max holds its CPU quota, "<quota> <period>" or "max <period>"
 _CGROUP_ROOT = "/sys/fs/cgroup"
 _SELF_CGROUP = "/proc/self/cgroup"
+_MEMINFO = "/proc/meminfo"
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +211,33 @@ def compact(a: np.ndarray, keep) -> np.ndarray:
         a[kept : kept + len(part)] = part
         kept += len(part)
     return a[:kept]
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from _MEMINFO in bytes; None where that file or field
+    is absent."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_matrix_fits(n: int, caller: str, matrix: str) -> None:
+    """Refuse an n x n float64 matrix larger than the memory available,
+    which would otherwise end in an out-of-memory kill; the error names
+    the caller, the matrix, n and both byte counts.  No check where the
+    memory available cannot be read."""
+    need = 8 * n * n
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"{caller} at n = {n} needs an n x n {matrix} of {need} bytes, "
+            f"but only {avail} bytes of memory are available"
+        )
 
 
 def _cgroup_dirs() -> list[str]:

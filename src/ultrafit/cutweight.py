@@ -10,7 +10,7 @@ representative and radius per cluster and over-estimates by at most 5x.
 import numpy as np
 
 from .core import PointSet, edge_distances
-from .dendro import build_dendrogram
+from .dendro import tree_order
 from .mst import SpanningTree
 
 
@@ -18,9 +18,11 @@ def exact_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
     """True cut weight per tree edge: the max distance over the cross pairs
     of the two clusters the edge merges.  Quadratic; the oracle baseline.
 
-    Heights 0, 1, ... keep the tree order, so dendrogram node i is the
-    merge of edge i and its farthest cross pair is the cut weight."""
-    return build_dendrogram(tree, np.arange(points.n - 1)).cross_stats(points).dmax
+    In the tree-order dendrogram (dendro.tree_order) node n+i is the merge
+    of edge i, so its farthest cross pair is the cut weight.  That
+    dendrogram's scan is kept per point set, and single linkage and
+    kt_factor on the same tree read it too."""
+    return tree_order(tree).cross_stats(points).dmax
 
 
 def approximate_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
@@ -88,13 +90,14 @@ def kt_factor(points: PointSet, tree: SpanningTree) -> float:
     between them) / (their true distance), clamped below at 1.  Tree edges
     ascend, so at the merge of edge i that heaviest edge is edge i itself
     for every cross pair, and the max over them is w_i / (closest cross
-    pair), read from the cross-pair kernel on the tree-order dendrogram
-    that exact_cut_weights reads too.  The merging edge's own pair is a
+    pair), read from the scan of the tree-order dendrogram
+    (dendro.tree_order), which exact_cut_weights and single linkage on the
+    same tree and points share.  The merging edge's own pair is a
     cross pair there, and gives w_i / d = 1 exactly when w_i is its cdist
     value, as in every tree this package builds; the clamp absorbs it.
     Quadratic; for tests and bound certification, not production runs.
     """
     if points.n < 2:
         return 1.0
-    dmin = build_dendrogram(tree, np.arange(points.n - 1)).cross_stats(points).dmin
+    dmin = tree_order(tree).cross_stats(points).dmin
     return max(1.0, float((tree.w / dmin).max()))

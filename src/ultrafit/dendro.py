@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, cross_distances, fork_map, worker_limit
+from .core import PointSet, _check_matrix_fits, cross_distances, fork_map, worker_limit
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
@@ -121,6 +121,22 @@ _PART_BLOCKS = 8
 # runs of whole merges that a pooled inv_sums is cut into; 4, 8, 16 and 32
 # read within noise of each other at 2000-8000 points
 _INV_UNITS = 16
+# rows of one cdist window of _tile_pass: tiles next to each other in DFS
+# order share a window up to this size, and a larger tile has one of its
+# own.  A window is one cdist call of its size squared entries, so small
+# windows compute fewer entries that no merge reads, in more calls.
+# Tile pass in ms, medians of 11 alternated calls, 2 cores (serial), the
+# trees of compare-highd-1800 (d = 77) and approx-blobs-11k's approx
+# tree (d = 16), seed 1:
+#   window            0     8    16    32    64   127
+#   highd approx    8.3   8.2   7.9   7.9   8.4  10.0
+#   highd acc       6.7   6.5   6.5   6.8   7.6   9.5
+#   highd exact     7.5   7.2   7.3   7.7   8.5  11.3
+#   highd single    3.7   3.4   3.5   3.9   5.2   8.8
+#   highd average   6.9   6.4   6.4   6.7   7.4  10.6
+#   highd ward      8.6   9.6   9.2   9.2   9.1   9.5
+#   blobs approx   18.1  16.1  14.9  14.9  16.0  20.1
+_WINDOW = 16
 
 
 def _workers(pairs) -> int:
@@ -267,33 +283,37 @@ def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
 
 def _tile_pass(Y, spans, children, small, out, buf):
     """Reduce every merge of the mask small, the merges inside a tile, a
-    maximal subtree of at most K = _tile_cap() leaves, and return
+    maximal subtree of at most _tile_cap() leaves, and return
     (merges, dmin, first, dmax) of them, as a unit of _run_units does.
 
     A tile's leaves are one contiguous row range.  Tiles next to each
-    other in DFS order share a window of at most K rows, and one cdist
-    block of a window against itself holds every cross pair of its
-    merges: merge (a0, a1, b0, b1) reads rows a0..a1-1, columns
-    b0..b1-1.  Windows are stacked into blocks of at most _CHUNK_ELEMS
-    entries, each reduced at once by _block_extremes, in buf."""
-    K = _tile_cap()
+    other in DFS order share a window of at most min(_WINDOW, _tile_cap())
+    rows, and a larger tile is a window of its own, so a window's block
+    fits _CHUNK_ELEMS.  One cdist block of a window against itself holds
+    every cross pair of its merges: merge (a0, a1, b0, b1) reads rows
+    a0..a1-1, columns b0..b1-1.  Windows are stacked into blocks as wide
+    as the widest window and of at most _CHUNK_ELEMS entries, each
+    reduced at once by _block_extremes, in buf."""
     a0, a1, b0, b1 = spans.T
     root = small.copy()
     kids = children[small]
     root[kids[kids >= 0]] = False  # a small merge under a small merge is not a tile root
     # tiles are disjoint, so sorting starts and ends keeps them paired
+    cap = min(_WINDOW, _tile_cap())  # a window's block fits _CHUNK_ELEMS
     starts, ends = [], []
     for lo, hi in zip(np.sort(a0[root]).tolist(), np.sort(b1[root]).tolist()):
-        if starts and hi - starts[-1] <= K:
+        if starts and hi - starts[-1] <= cap:
             ends[-1] = hi
         else:
             starts.append(lo)
             ends.append(hi)
+    widths = np.subtract(ends, starts).tolist()
+    K = max(widths)  # columns of one stacked block
     band = _CHUNK_ELEMS // K  # rows of one stacked block
     base = []  # stacked row of each window's first leaf
     cuts = [0]  # first window of each block
     pos = 0
-    for w, size in enumerate(np.subtract(ends, starts).tolist()):
+    for w, size in enumerate(widths):
         if pos + size > band:
             cuts.append(w)
             pos = 0
@@ -465,7 +485,11 @@ class Dendrogram:
     height: np.ndarray
     size: np.ndarray
     _spans: tuple | None = field(default=None, repr=False, compare=False)
-    _cross: tuple | None = field(default=None, repr=False, compare=False)  # (points, CrossStats)
+    # [points, CrossStats] once cross_stats has run.  Copies made with
+    # replace keep the topology (normalize, single_linkage) and share this
+    # cell, so one scan serves them all, whichever runs it; _cross=None
+    # gives a copy a cell of its own.
+    _cross: list | None = field(default_factory=list, repr=False, compare=False)
 
     @property
     def root(self) -> int:
@@ -513,8 +537,8 @@ class Dendrogram:
         range, so most merges share a distance block with others:
 
         - tiles (_tile_pass): a maximal subtree of at most _tile_cap()
-          leaves gets one cdist block over its rows, from which all of its
-          merges are read;
+          leaves is read from one cdist block over its rows, a window that
+          tiles next to each other share up to _WINDOW rows;
         - heavy-path runs (_run_units, _run_block): every other merge reads its smaller
           child's rows against its larger child's span, and consecutive
           merges of one heavy path share a block.  The smaller child may
@@ -532,7 +556,10 @@ class Dendrogram:
         entry at the exact extremes, so the result equals a full scan's.
         No cdist or GEMM block has more than _CHUNK_ELEMS entries.  The
         result depends only on topology and points, so it is memoized per
-        PointSet object.
+        PointSet object, in a cell that every replace copy of this
+        dendrogram shares: normalize's output, and single linkage with
+        the tree-order dendrogram of its tree (tree_order), whose scan
+        exact_cut_weights and kt_factor read too.
 
         When the cross pairs outside the tiles reach _POOL_MIN_PAIRS, the
         units (the tile pass, each run block and each part of a merge too
@@ -540,8 +567,12 @@ class Dendrogram:
         folds their results in unit order, so the output is bitwise that
         of the serial pass.
         """
-        if self._cross is not None and self._cross[0] is points:
-            return self._cross[1]
+        cell = self._cross
+        if cell is None:
+            cell = []
+            object.__setattr__(self, "_cross", cell)
+        if cell and cell[0] is points:
+            return cell[1]
         Y, spans = self._dfs_layout(points)
         m = len(spans)
         children = np.column_stack((self.left, self.right)) - self.n  # merge rows; < 0 for leaves
@@ -569,7 +600,7 @@ class Dendrogram:
                 dmax[merges] = np.maximum(dmax[merges], far)
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
-        object.__setattr__(self, "_cross", (points, stats))
+        cell[:] = (points, stats)
         return stats
 
     def inv_sums(self, points: PointSet) -> np.ndarray:
@@ -607,8 +638,11 @@ class Dendrogram:
         return float(self.height[row])
 
     def ultrametric_matrix(self) -> np.ndarray:
-        """Dense n x n matrix of LCA heights. Quadratic memory; small n only."""
+        """Dense n x n matrix of LCA heights. Quadratic memory; small n only:
+        a matrix larger than the memory available is refused before it is
+        allocated (core._check_matrix_fits)."""
         n = self.n
+        _check_matrix_fits(n, "ultrametric_matrix", "float64 matrix")
         order, lo, hi = self.leaf_spans()
         out = np.zeros((n, n))
         for i in range(len(self.height)):
@@ -682,6 +716,20 @@ def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
     return from_merge_rows(n, left, right, hout)
 
 
+def tree_order(tree: SpanningTree) -> Dendrogram:
+    """The dendrogram that merges the tree's edges in their stored order,
+    at heights 0, 1, ...: node n+i is the merge of edge i.
+
+    Built once per tree and kept on it (a tree's arrays are read-only, so
+    it cannot go stale).  exact_cut_weights reads its farthest cross
+    pairs, kt_factor its closest ones, and single_linkage is the same
+    merges at heights tree.w, a replace copy that shares its cross_stats
+    cell; so on one tree and point set the three share one scan."""
+    if tree._order is None:
+        object.__setattr__(tree, "_order", build_dendrogram(tree, np.arange(tree.n - 1)))
+    return tree._order
+
+
 def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
     """Scale all heights by the smallest factor making the ultrametric
     dominate the input metric; returns the scaled dendrogram and the factor.
@@ -690,7 +738,9 @@ def normalize(dendro: Dendrogram, points: PointSet) -> tuple[Dendrogram, float]:
     the ulps it takes for every scaled height to reach its node's farthest
     cross pair, so afterwards min over pairs of height / distance is 1
     exactly.  Topology is unchanged, so the scaled dendrogram shares the
-    leaf spans and cross-pair statistics of the input.
+    leaf spans and the cross_stats cell of the input: the scan made here
+    serves the distortion of the output, and a scan the input (or any
+    copy sharing its cell) already made on these points is reused.
     """
     if dendro.n != points.n:
         raise ValueError("dendrogram and point set sizes differ")

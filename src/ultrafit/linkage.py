@@ -12,22 +12,28 @@ distances and the update runs on their squares, so singleton merges
 report the Euclidean distance itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from .core import PointSet, distance_matrix
-from .dendro import Dendrogram, from_merge_rows
+from .core import PointSet, _check_matrix_fits, distance_matrix
+from .dendro import Dendrogram, from_merge_rows, tree_order
 from .mst import SpanningTree, exact_mst
 from . import dendro as _dendro
 
 METHODS = ("single", "complete", "average", "ward")
 
-_MEMINFO = "/proc/meminfo"
-
 
 def single_linkage(points: PointSet) -> Dendrogram:
-    """Subdominant ultrametric: exact MST with edge weights as heights."""
+    """Subdominant ultrametric: exact MST with edge weights as heights.
+
+    The MST's edges ascend in weight, so merging them by height is merging
+    them in tree order: the result is the tree-order dendrogram
+    (dendro.tree_order) at heights tree.w, a replace copy that shares its
+    cross_stats cell.  After exact on the same points (as in compare),
+    normalize and distortion reuse exact's scan, and the other way round."""
     tree = exact_mst(points)
-    return _dendro.build_dendrogram(tree, tree.w)
+    return replace(tree_order(tree), height=tree.w)
 
 
 def _lw_update(method, d_ak, d_bk, d_ab, sa, sb, sk):
@@ -65,31 +71,6 @@ def _check_ward_range(points: PointSet) -> None:
         )
 
 
-def _available_bytes() -> int | None:
-    """MemAvailable from _MEMINFO in bytes; None where that file or field
-    is absent."""
-    try:
-        with open(_MEMINFO, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
-
-
-def _check_matrix_fits(n: int) -> None:
-    """Refuse an n x n float64 matrix larger than the memory available,
-    which would otherwise end in an out-of-memory kill."""
-    need = 8 * n * n
-    avail = _available_bytes()
-    if avail is not None and need > avail:
-        raise ValueError(
-            f"linkage at n = {n} needs an n x n distance matrix of {need} bytes, "
-            f"but only {avail} bytes of memory are available"
-        )
-
-
 def agglomerate(points: PointSet, method: str) -> Dendrogram:
     """Nearest-neighbor-chain agglomeration under the given linkage rule."""
     if method not in METHODS:
@@ -99,7 +80,7 @@ def agglomerate(points: PointSet, method: str) -> Dendrogram:
         return from_merge_rows(1, [], [], [])
     if method == "ward":
         _check_ward_range(points)
-    _check_matrix_fits(n)
+    _check_matrix_fits(n, "linkage", "distance matrix")
     D = distance_matrix(points.coords)
     np.fill_diagonal(D, np.inf)
     active = np.ones(n, dtype=bool)

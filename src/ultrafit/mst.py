@@ -1,7 +1,7 @@
 """Spanning trees: Kruskal over sparse graphs and an exact Euclidean MST
 baseline."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -33,20 +33,29 @@ class DisconnectedGraphError(ValueError):
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
     """Tree over n points: exactly n-1 edges.  kruskal, connect_components
     and exact_mst store them in canonical (weight, min index, max index)
-    order, which the cut-weight passes and kt_factor rely on."""
+    order, which the cut-weight passes and kt_factor rely on.
+
+    The tree is frozen and u, v and w are write-protected at construction
+    (the caller's arrays included), so _order, the tree-order dendrogram
+    that dendro.tree_order keeps here, cannot go stale."""
 
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    _order: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.u) != self.n - 1:
             raise ValueError(f"tree over {self.n} points needs {self.n - 1} edges, got {len(self.u)}")
+        for name in ("u", "v", "w"):
+            a = np.asarray(getattr(self, name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def _as_edge_arrays(edges):
@@ -224,14 +233,12 @@ def exact_mst(points: PointSet) -> SpanningTree:
 
     Computed once per PointSet and stored on it, so acc, exact and single
     on one point set share one tree; later calls return that same object.
-    Its u, v and w arrays are read-only, so no caller can change what the
-    others see.
+    Its u, v and w arrays are read-only, as every tree's are, so no caller
+    can change what the others see.
     """
     tree = points._mst
     if tree is None:
         tree = _prim(points)
-        for a in (tree.u, tree.v, tree.w):
-            a.setflags(write=False)
         object.__setattr__(points, "_mst", tree)
     return tree
 

@@ -43,3 +43,21 @@ def _run_bounded(script, timeout):
 def run_bounded():
     """_run_bounded(script, timeout): the script's standard output."""
     return _run_bounded
+
+
+@pytest.fixture
+def fork_map_calls(monkeypatch):
+    """Every dendro.fork_map call as (workers, label): one per
+    Dendrogram.cross_stats scan (label "block") and one per inv_sums
+    (label "merge run"); each call goes on to the real fork_map."""
+    from ultrafit import dendro as dendro_mod
+
+    calls = []
+    fork_map = dendro_mod.fork_map
+
+    def spy(job, ids, workers, label="item"):
+        calls.append((workers, label))
+        return fork_map(job, ids, workers, label)
+
+    monkeypatch.setattr(dendro_mod, "fork_map", spy)
+    return calls

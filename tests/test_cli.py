@@ -9,7 +9,7 @@ import pytest
 from ultrafit import PointSet, normalize, parse_merge_list
 from ultrafit import cli as cli_mod
 from ultrafit import dendro as dendro_mod
-from ultrafit import linkage as linkage_mod
+from ultrafit import core as core_mod
 from ultrafit.cli import EXIT_BAD_INPUT, EXIT_EMPTY, CliError, main, parse_points_csv
 from ultrafit.core import cross_distances
 
@@ -287,7 +287,7 @@ def test_compare_rows_of_the_mst_fitters_equal_separate_fits(tmp_path):
 def test_linkage_larger_than_the_memory_available_exits_2(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(13)
     csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in rng.random((40, 3)).tolist()))
-    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 1000)
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: 1000)
     out = str(tmp_path / "d.txt")
     for argv in (["fit", "--algo", "average", "--out", out], ["compare"]):
         assert main([*argv, "--input", csv]) == EXIT_BAD_INPUT, argv

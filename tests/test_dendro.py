@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
@@ -833,7 +834,7 @@ def _serial_stats(d, p, monkeypatch):
         return replace(d, _cross=None).cross_stats(p)
 
 
-def test_cross_stats_pools_only_past_the_crossover(monkeypatch):
+def test_cross_stats_pools_only_past_the_crossover(fork_map_calls, monkeypatch):
     # every tree of up to 4096 points stays serial, those of the benchmark's
     # 1800-row workload included
     assert 4096 * 4095 // 2 < dendro_mod._POOL_MIN_PAIRS
@@ -842,19 +843,11 @@ def test_cross_stats_pools_only_past_the_crossover(monkeypatch):
     _, spans = d._dfs_layout(p)
     a0, a1, b0, b1 = spans.T
     outside = int(((a1 - a0) * (b1 - b0))[b1 - a0 > dendro_mod._tile_cap()].sum())
-    asked = []
-    fork_map = dendro_mod.fork_map
-
-    def spy(job, ids, workers, label="item"):
-        asked.append(workers)
-        return fork_map(job, ids, workers, label)
-
-    monkeypatch.setattr(dendro_mod, "fork_map", spy)
     for threshold, workers in ((outside + 1, 1), (outside, worker_limit())):
         monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", threshold)
-        asked.clear()
+        fork_map_calls.clear()
         replace(d, _cross=None).cross_stats(p)
-        assert asked == [workers]
+        assert fork_map_calls == [(workers, "block")]
 
 
 @pytest.mark.parametrize("algo", ["approx", "acc", "exact", "single", "complete", "average", "ward"])
@@ -945,3 +938,172 @@ def test_pooled_inv_sums_match_serial(make, pool, monkeypatch):
     pooled = d.inv_sums(p)
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", float("inf"))
     assert pooled.tobytes() == d.inv_sums(p).tobytes()
+
+
+# -- one cross_stats scan per topology and point set ---------------------------
+
+
+def _scans(calls):
+    return sum(label == "block" for _, label in calls)
+
+
+@pytest.mark.parametrize("single_first", [False, True], ids=["exact-first", "single-first"])
+def test_exact_single_and_kt_factor_share_one_scan(single_first, fork_map_calls):
+    from ultrafit import distortion, exact_cut_weights, kt_factor
+
+    p = PointSet(np.random.default_rng(80).random((400, 6)))
+    tree = exact_mst(p)
+    got = {}
+
+    def exact():
+        got["cw"] = exact_cut_weights(p, tree)
+
+    def single():
+        got["report"] = distortion(p, single_linkage(p), normalize_first=True)
+
+    for step in (single, exact) if single_first else (exact, single):
+        step()
+    got["kt"] = kt_factor(p, tree)
+    assert _scans(fork_map_calls) == 1
+    want = build_dendrogram(tree, np.arange(p.n - 1)).cross_stats(p)
+    _assert_bitwise(dendro_mod.tree_order(tree).cross_stats(p), want)
+    assert got["cw"].tobytes() == want.dmax.tobytes()
+    assert got["kt"] == max(1.0, float((tree.w / want.dmin).max()))
+    # single linkage as the cartesian tree at heights w, scanned afresh
+    fresh = build_dendrogram(tree, tree.w)
+    assert format_merge_list(single_linkage(p)) == format_merge_list(fresh)
+    report = distortion(p, fresh, normalize_first=True)
+    assert (report.scale, report.max_ratio, report.argmax_pair) == (
+        got["report"].scale, got["report"].max_ratio, got["report"].argmax_pair,
+    )
+    assert _scans(fork_map_calls) == 3  # the two fresh dendrograms
+
+
+def test_scan_memo_is_per_point_set_and_topology(fork_map_calls):
+    from ultrafit import exact_cut_weights, kt_factor
+
+    p = PointSet(np.random.default_rng(81).random((300, 4)))
+    tree = exact_mst(p)
+    cw = exact_cut_weights(p, tree)
+    kt = kt_factor(p, tree)
+    assert _scans(fork_map_calls) == 1
+    # exact's own dendrogram is another topology: it never reads the memo
+    fit = farach_exact(p).dendrogram
+    assert _scans(fork_map_calls) == 1 and fit._cross == []
+    _assert_bitwise(fit.cross_stats(p), _oracle(fit, p))
+    assert _scans(fork_map_calls) == 2
+    # replace(..., _cross=None) forces a fresh scan and leaves the memo be
+    single = single_linkage(p)
+    _assert_bitwise(replace(single, _cross=None).cross_stats(p), single.cross_stats(p))
+    assert _scans(fork_map_calls) == 3
+    # an equal but distinct point set is scanned again, once
+    q = PointSet(p.coords)
+    assert exact_cut_weights(q, tree).tobytes() == cw.tobytes()
+    assert kt_factor(q, tree) == kt
+    assert _scans(fork_map_calls) == 4
+
+
+def test_tree_order_is_built_once_per_tree():
+    p = PointSet(np.random.default_rng(82).random((50, 3)))
+    tree = exact_mst(p)
+    d = dendro_mod.tree_order(tree)
+    assert dendro_mod.tree_order(tree) is d
+    assert format_merge_list(d) == format_merge_list(build_dendrogram(tree, np.arange(p.n - 1)))
+    assert single_linkage(p).height is tree.w
+
+
+@pytest.mark.parametrize("order", [("exact", "single"), ("single", "exact")], ids=["exact-first", "single-first"])
+def test_compare_scans_exact_and_single_tree_once(order, tmp_path, fork_map_calls):
+    from ultrafit.cli import main
+
+    x = np.random.default_rng(83).random((200, 5))
+    csv = tmp_path / "p.csv"
+    csv.write_text("\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
+    assert main(["compare", "--input", str(csv), "--algo", ",".join(order)]) == 0
+    # the tree-order scan, shared by exact's cut weights and single, and
+    # one of exact's normalized dendrogram
+    assert _scans(fork_map_calls) == 2
+
+
+# -- tile windows -------------------------------------------------------------
+
+
+def _tile_roots(d, p):
+    """(first row, size) of every tile, in DFS order."""
+    a0, a1, b0, b1 = d._dfs_layout(p)[1].T
+    small = b1 - a0 <= dendro_mod._tile_cap()
+    kids = np.column_stack((d.left, d.right))[small] - d.n
+    root = small.copy()
+    root[kids[kids >= 0]] = False
+    return sorted(zip(a0[root].tolist(), (b1 - a0)[root].tolist()))
+
+
+@functools.cache
+def _window_case(name):
+    """Chain-shaped (single), balanced (ward) and approx trees at d = 1, 16, 77."""
+    from ultrafit import run_algorithm
+
+    algo, dim = name.split("-d")
+    p = PointSet(np.random.default_rng(90 + int(dim)).random((500, int(dim))))
+    return p, run_algorithm(algo, p).dendrogram
+
+
+_CHOSEN = dendro_mod._WINDOW
+_WINDOWS = pytest.mark.parametrize("window", [0, _CHOSEN, 127], ids=lambda w: f"window{w}")
+_CASES = pytest.mark.parametrize("case", [f"{a}-d{dim}" for dim in (1, 16, 77) for a in ("single", "ward", "approx")])
+
+
+@_WINDOWS
+@_CASES
+def test_tile_pass_matches_oracle_at_any_window(case, window, monkeypatch):
+    p, d = _window_case(case)
+    monkeypatch.setattr(dendro_mod, "_WINDOW", window)
+    want = _oracle(d, p)
+    tiles = _tile_roots(d, p)
+    assert max(size for _, size in tiles) > _CHOSEN  # a tile larger than the window
+    Y, spans = d._dfs_layout(p)
+    m = len(spans)
+    children = np.column_stack((d.left, d.right)) - d.n
+    children[children < 0] = -1
+    small = spans[:, 3] - spans[:, 0] <= dendro_mod._tile_cap()
+    windows = []
+
+    def spy(a, b):
+        windows.append(len(a))
+        return cross_distances(a, b)
+
+    monkeypatch.setattr(dendro_mod, "cross_distances", spy)
+    scratch = (np.empty(m), np.empty((m, 2), dtype=np.int64), np.empty(m))
+    merges, dmin, first, dmax = dendro_mod._tile_pass(Y, spans, children, small, scratch, np.empty(dendro_mod._CHUNK_ELEMS))
+    monkeypatch.undo()
+    assert merges.tolist() == np.flatnonzero(small).tolist()
+    order = d.leaf_spans()[0]
+    _assert_bitwise((dmin, order[first], dmax), (want.dmin[merges], want.pair[merges], want.dmax[merges]))
+    # only a tile on its own exceeds the window
+    assert len(windows) <= len(tiles)
+    sizes = {size for _, size in tiles}
+    assert all(w <= window or w in sizes for w in windows)
+    monkeypatch.setattr(dendro_mod, "_WINDOW", window)
+    _assert_bitwise(replace(d, _cross=None).cross_stats(p), want)
+
+
+@_WINDOWS
+@_CASES
+def test_pooled_tile_pass_matches_oracle_at_any_window(case, window, pool, monkeypatch):
+    p, d = _window_case(case)
+    monkeypatch.setattr(dendro_mod, "_WINDOW", window)
+    _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
+
+
+def test_ultrametric_matrix_refuses_more_than_the_memory_available(monkeypatch):
+    from ultrafit import core as core_mod
+
+    p = PointSet(np.random.default_rng(84).random((50, 3)))
+    d = single_linkage(p)
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: 8 * 50 * 50 - 1)
+    with pytest.raises(ValueError, match=r"ultrametric_matrix at n = 50 needs .* 20000 bytes, but only 19999 bytes"):
+        d.ultrametric_matrix()
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: None)
+    want = d.ultrametric_matrix()
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: 8 * 50 * 50)
+    assert d.ultrametric_matrix().tobytes() == want.tobytes()

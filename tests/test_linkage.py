@@ -11,6 +11,7 @@ from ultrafit import (
     from_merge_rows,
     single_linkage,
 )
+from ultrafit import core as core_mod
 from ultrafit import linkage as linkage_mod
 from ultrafit.core import cross_distances
 from ultrafit.linkage import _lw_update
@@ -246,7 +247,7 @@ def test_agglomerate_matches_masked_full_matrix(method):
 
 def test_agglomerate_refuses_a_matrix_larger_than_the_memory_available(monkeypatch):
     p = PointSet(np.random.default_rng(4).random((50, 3)))
-    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 8 * 50 * 50 - 1)
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: 8 * 50 * 50 - 1)
     monkeypatch.setattr(linkage_mod, "distance_matrix", lambda x: pytest.fail("allocated the matrix"))
     for method in ("complete", "average", "ward"):
         with pytest.raises(ValueError, match=r"n = 50 needs .* 20000 bytes, but only 19999 bytes"):
@@ -256,18 +257,18 @@ def test_agglomerate_refuses_a_matrix_larger_than_the_memory_available(monkeypat
 def test_agglomerate_without_a_memory_reading_skips_the_check(monkeypatch):
     p = PointSet(np.random.default_rng(4).random((50, 3)))
     want = format_merge_list(agglomerate(p, "average"))
-    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: None)
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: None)
     assert format_merge_list(agglomerate(p, "average")) == want
-    monkeypatch.setattr(linkage_mod, "_available_bytes", lambda: 8 * 50 * 50)
+    monkeypatch.setattr(core_mod, "_available_bytes", lambda: 8 * 50 * 50)
     assert format_merge_list(agglomerate(p, "average")) == want
 
 
 def test_available_bytes_reads_meminfo(tmp_path, monkeypatch):
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal:       8000000 kB\nMemFree:  100 kB\nMemAvailable:    123456 kB\n")
-    monkeypatch.setattr(linkage_mod, "_MEMINFO", str(meminfo))
-    assert linkage_mod._available_bytes() == 123456 * 1024
+    monkeypatch.setattr(core_mod, "_MEMINFO", str(meminfo))
+    assert core_mod._available_bytes() == 123456 * 1024
     meminfo.write_text("MemTotal:       8000000 kB\n")
-    assert linkage_mod._available_bytes() is None
-    monkeypatch.setattr(linkage_mod, "_MEMINFO", str(tmp_path / "absent"))
-    assert linkage_mod._available_bytes() is None
+    assert core_mod._available_bytes() is None
+    monkeypatch.setattr(core_mod, "_MEMINFO", str(tmp_path / "absent"))
+    assert core_mod._available_bytes() is None

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -140,6 +141,23 @@ def test_exact_mst_is_computed_once_per_point_set(monkeypatch):
     # equality and repr ignore the stored tree
     assert p == before and repr(p) == repr(before)
     assert before._mst is None
+
+
+def test_every_spanning_tree_is_read_only():
+    # dendro.tree_order keeps a dendrogram on the tree, so its edges must not change
+    p = PointSet(np.random.default_rng(10).random((40, 3)))
+    i, j = np.triu_indices(p.n, 1)
+    w = cross_distances(p.coords, p.coords)[i, j]
+    hand = mst_mod.SpanningTree(n=3, u=[1, 0], v=[2, 2], w=[2.0, 3.0])
+    forest = (np.array([0]), np.array([1]), np.array([1.0]))
+    for tree in (exact_mst(p), kruskal(p.n, (i, j, w)), connect_components(p, forest), hand):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.w = tree.w
+        for a in (tree.u, tree.v, tree.w):
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
+    assert hand.u.tolist() == [1, 0] and hand.w.tolist() == [2.0, 3.0]
 
 
 def test_exact_mst_of_equal_coordinates_is_bitwise_equal():
