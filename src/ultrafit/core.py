@@ -23,7 +23,11 @@ from scipy.spatial.distance import cdist
 _CHUNK = 1 << 15  # entries that chunks and compact handle at a time
 _TILE = 128  # rows and columns of one distance_matrix tile
 # workers at most: they were measured on 2 cores only, and each worker
-# holds its own buffers beside the parent's
+# holds its own buffers beside the parent's.  Dendrogram.cross_stats
+# balances on this bound: it hands out whole merges, largest first, and a
+# merge holds at most about half of the n(n-1)/2 cross pairs, so on two
+# workers the largest does not outlast the rest; with more workers the
+# largest merge would cap the speedup
 _MAX_WORKERS = 2
 # the cgroup v2 mount, and this process's line "0::<path>" below it; each
 # cgroup's cpu.max holds its CPU quota, "<quota> <period>" or "max <period>"
@@ -188,6 +192,16 @@ def canonical_edges(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         run = np.cumsum(starts)[pos]
         order[pos] = sub[np.lexsort((sub, hi[sub], lo[sub], run))]
     return lo[order], hi[order], w[order]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Root of every element, by pointer jumping; parent is not modified."""
+    roots = parent
+    while True:
+        nxt = roots[roots]
+        if (nxt == roots).all():
+            return roots
+        roots = nxt
 
 
 def index_dtype(count: int) -> type:

@@ -8,13 +8,14 @@ edge order.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, _check_matrix_fits, cross_distances, fork_map, worker_limit
+from .core import PointSet, _check_matrix_fits, _roots, cross_distances, fork_map, worker_limit
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
@@ -116,8 +117,9 @@ _TIED_SHARE = 1 / 8
 # pooled inv_sums broke even near 2M-4.5M pairs at d = 16 and below 2M at
 # d = 77, so this constant is conservative for it
 _POOL_MIN_PAIRS = 1 << 23
-# _blocks row bands per unit of a merge too large for one block
-_PART_BLOCKS = 8
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive integer, else it starts a thread per core
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # runs of whole merges that a pooled inv_sums is cut into; 4, 8, 16 and 32
 # read within noise of each other at 2000-8000 points
 _INV_UNITS = 16
@@ -145,6 +147,18 @@ def _workers(pairs) -> int:
     return worker_limit() if pairs >= _POOL_MIN_PAIRS else 1
 
 
+def _one_blas_thread() -> bool:
+    """Whether the environment holds OpenBLAS to one thread (_BLAS_THREAD_VARS)."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
 def _steps(sizes: np.ndarray) -> np.ndarray:
     """0, 1, ..., size - 1 for each of the given run sizes, concatenated."""
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -159,9 +173,10 @@ def _tile_cap() -> int:
     return min(math.isqrt(_CHUNK_ELEMS), math.isqrt(4 * _SCREEN_MIN_ELEMS - 1))
 
 
-def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
+def _block_extremes(V, rowpos, colpos, seg, merges, flip, screen=None, row_segments=False):
     """Closest pair and farthest distance of the merges whose cross pairs
-    are row segments of one block V, written into out = (dmin, first, dmax).
+    are row segments of one block V, as a unit's (merges, dmin, first,
+    dmax), first in DFS positions.
 
     V[r, c] belongs to the leaves at DFS positions rowpos[r] and
     colpos[r] + c.  It is their cdist value when screen is None; with
@@ -170,23 +185,21 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
     local): segment s is V[row[s], c0[s]:c1[s]], cross pairs of merge
     merges[local[s]]; segments are disjoint and in row-major order.
     Entries outside every segment are ignored.  flip[j] says that the rows
-    of merge j are its right child.  Returns whether the merges were
-    reduced.
+    of merge j are its right child.
 
     Per merge, every entry within 2E of the merge's extreme in V is a
     candidate, so the candidates hold every entry at the exact extreme.
     With row_segments, segment r is on row r (run blocks): each row is
     scanned against its segment's bound, and when more than _TIED_SHARE of
-    the block's entries meet their bound (distances that tie) nothing is
-    written and False is returned.  Otherwise (tile blocks, whose
-    rows hold the nested segments of many merges) only the segments whose
-    own extreme is within 2E are listed.  A screened block takes the
+    the block's entries meet their bound (distances that tie) None is
+    returned.  Otherwise (tile blocks, whose rows hold the nested segments
+    of many merges) only the segments whose own extreme is within 2E are
+    listed.  A screened block takes the
     candidates' exact values from one cdist block over their rows and
     columns, so no array grows beyond a few times the block.  The closest
     pair is the candidate at the exact minimum that comes first in the
     merge's left x right row-major order.
     """
-    dmin, first, dmax = out
     row, c0, c1, local = seg
     E = 0.0 if screen is None else screen[0]
     C = V.shape[1]
@@ -209,7 +222,7 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
             thr[near] = bound[local[near]]
             hit = cmp(V, thr[:, None])
             if np.count_nonzero(hit) > V.size * _TIED_SHARE:
-                return False
+                return None
             p = np.flatnonzero(hit)
             s = p // C
             inside = (p >= start[s]) & (p < end[s])
@@ -233,20 +246,18 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_
     nlo = len(lo)
     farthest = np.full(k, -np.inf)
     np.maximum.at(farthest, hi, val[nlo:])
-    dmax[merges] = farthest
     val, r, c = val[:nlo], r[:nlo], c[:nlo]
     rp, cp = rowpos[r], colpos[r] + c
     closest = np.full(k, np.inf)
     np.minimum.at(closest, lo, val)
-    dmin[merges] = closest
     swap = flip[lo]
     left = np.where(swap, cp, rp)
     right = np.where(swap, rp, cp)
     tie = np.flatnonzero(val == closest[lo])
     tie = tie[np.lexsort((right[tie], left[tie], lo[tie]))]
+    # every merge has a candidate at its minimum, so head holds one per merge, in order
     head = tie[np.diff(lo[tie], prepend=-1) != 0]
-    first[merges[lo[head]]] = np.column_stack((left[head], right[head]))
-    return True
+    return merges, closest, np.column_stack((left[head], right[head])), farthest
 
 
 def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
@@ -281,10 +292,10 @@ def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
     return near, at, far
 
 
-def _tile_pass(Y, spans, children, small, out, buf):
+def _tile_pass(Y, spans, children, small, buf):
     """Reduce every merge of the mask small, the merges inside a tile, a
     maximal subtree of at most _tile_cap() leaves, and return
-    (merges, dmin, first, dmax) of them, as a unit of _run_units does.
+    (merges, dmin, first, dmax) of them, as every unit of _run_units does.
 
     A tile's leaves are one contiguous row range.  Tiles next to each
     other in DFS order share a window of at most min(_WINDOW, _tile_cap())
@@ -340,6 +351,7 @@ def _tile_pass(Y, spans, children, small, out, buf):
     bseg = np.searchsorted(srow, np.arange(len(cuts)) * band)
     V = buf[: band * K].reshape(band, K)
     V.fill(0.0)
+    parts = []
     for b in range(len(cuts) - 1):
         for w in range(cuts[b], cuts[b + 1]):
             r, lo, hi = int(base[w]) - b * band, int(w0[w]), int(w1[w])
@@ -348,34 +360,31 @@ def _tile_pass(Y, spans, children, small, out, buf):
         merges, local = np.unique(smerge[s:e], return_inverse=True)
         rows = slice(b * band, (b + 1) * band)
         seg = (srow[s:e] - b * band, sc0[s:e], sc1[s:e], local)
-        _block_extremes(V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool), out)
-    dmin, first, dmax = out
-    return M, dmin[M], first[M], dmax[M]
+        parts.append(_block_extremes(V, rowpos[rows], colpos[rows], seg, merges, np.zeros(len(merges), bool)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _run_units(Y, F, spans, children, todo, out, buf):
-    """Units that reduce every merge of the mask todo along heavy paths.
+def _run_units(Y, F, spans, children, small, buf):
+    """The units of Dendrogram.cross_stats: callables that each return
+    (merges, dmin, first, dmax) of the merges they reduce, every merge in
+    exactly one unit.  First comes one _merge_unit per merge too large for
+    one block, largest first, then the tile pass over the mask small, then
+    one _run_unit per heavy-path run block of the other merges.
 
-    Each merge reads the rows of its smaller child (on a tie the right
-    one) against the contiguous span of its larger child.  A heavy path
-    follows each merge's larger child, so along a run of one path's
-    merges, taken bottom-up, each larger child holds the merge below, and
-    one block serves the run: its rows against the span of the top
-    merge's larger child, each merge reading its rows and the columns of
-    its own larger child.  Runs are cut so that a block stays within
+    Each merge outside the tiles reads the rows of its smaller child (on a
+    tie the right one) against the contiguous span of its larger child.  A
+    heavy path follows each merge's larger child, so along a run of one
+    path's merges, taken bottom-up, each larger child holds the merge
+    below, and one block serves the run: its rows against the span of the
+    top merge's larger child, each merge reading its rows and the columns
+    of its own larger child.  Runs are cut so that a block stays within
     _CHUNK_ELEMS entries and its gathered rows within _CHUNK_ELEMS
     coordinates (which only binds in high dimension); its columns are
     views of Y and F.  A block of at least _SCREEN_MIN_ELEMS entries is
     screened from the factors F = _screen_factors(Y), as in
     Dendrogram.cross_stats.  A merge whose own block exceeds those caps,
     and the merges of a block whose distances tie, are reduced on their
-    own by _merge_extremes.
-
-    A unit is a callable returning (merges, dmin, first, dmax) for the
-    merges it reduced; each run block is one (_run_unit, which writes
-    into out first).  A merge too large for one block is one unit per
-    _PART_BLOCKS row bands of its _blocks, whose partial results the
-    caller folds in order."""
+    own by _merge_extremes."""
     m, d = len(spans), Y.shape[1]
     a0, a1, b0, b1 = spans.T
     add_left = a1 - a0 < b1 - b0
@@ -385,14 +394,9 @@ def _run_units(Y, F, spans, children, todo, out, buf):
     g1 = np.where(add_left, b1, a1)
     sa, sg = s1 - s0, g1 - g0
     fits = (sa * sg <= _CHUNK_ELEMS) & (sa * d <= _CHUNK_ELEMS)
-    run = todo & fits
+    run = ~small & fits
     grow = np.where(add_left, children[:, 1], children[:, 0])
-    bottom = np.where((grow >= 0) & run[grow], grow, np.arange(m))
-    while True:  # pointer jumping to each run's first merge
-        nxt = bottom[bottom]
-        if (nxt == bottom).all():
-            break
-        bottom = nxt
+    bottom = _roots(np.where((grow >= 0) & run[grow], grow, np.arange(m)))  # each run's first merge
     M = np.flatnonzero(run)
     M = M[np.lexsort((M, bottom[M]))]
     add = sa[M].tolist()
@@ -411,29 +415,32 @@ def _run_units(Y, F, spans, children, todo, out, buf):
             rows = 0
         rows += add[j]
     cuts.append(len(M))
+    alone = np.flatnonzero(~small & ~fits)
+    alone = alone[np.argsort(-(sa * sg)[alone], kind="stable")]
+    units = [partial(_merge_unit, Y, F, spans, alone[j : j + 1], buf) for j in range(len(alone))]
+    if small.any():
+        units.append(partial(_tile_pass, Y, spans, children, small, buf))
     layout = (s0, s1, g0, g1, add_left)
-    units = [partial(_run_unit, Y, F, spans, layout, M[j:k], out, buf) for j, k in zip(cuts[:-1], cuts[1:])]
-    alone = np.flatnonzero(todo & ~fits)
-    for i, (r0, r1, c0, c1) in zip(alone.tolist(), spans[alone].tolist()):
-        step = _PART_BLOCKS * max(1, _CHUNK_ELEMS // min(c1 - c0, _CHUNK_ELEMS))
-        units += [partial(_merge_part, Y, F, i, ra, min(ra + step, r1), c0, c1, buf) for ra in range(r0, r1, step)]
-    return units
+    return units + [partial(_run_unit, Y, F, spans, layout, M[j:k], buf) for j, k in zip(cuts[:-1], cuts[1:])]
 
 
-def _run_unit(Y, F, spans, layout, merges, out, buf):
-    """One run block's unit of _run_units: its merges, reduced on their
-    own when the block's distances tie, which is done once the block is
-    freed."""
-    if not _run_block(Y, F, layout, merges, out, buf):
-        dmin, first, dmax = out
-        for i in merges.tolist():  # tied: the candidates would fill the block
-            dmin[i], first[i], dmax[i] = _merge_extremes(Y, F, *spans[i].tolist(), buf)
-    return merges, out[0][merges], out[1][merges], out[2][merges]
+def _merge_unit(Y, F, spans, merges, buf):
+    """The unit of merges reduced one by one through _merge_extremes: a
+    merge too large for one block, or the merges of a run block whose
+    distances tie."""
+    near, at, far = zip(*(_merge_extremes(Y, F, *spans[i].tolist(), buf) for i in merges.tolist()))
+    return merges, np.array(near), np.array(at, dtype=np.int64), np.array(far)
 
 
-def _run_block(Y, F, layout, merges, out, buf) -> bool:
-    """Reduce the merges of one run block into out; returns whether they
-    were reduced (_block_extremes)."""
+def _run_unit(Y, F, spans, layout, merges, buf):
+    """One run block's unit of _run_units; when the block's distances tie,
+    its merges go to _merge_unit once the block is freed."""
+    return _run_block(Y, F, layout, merges, buf) or _merge_unit(Y, F, spans, merges, buf)
+
+
+def _run_block(Y, F, layout, merges, buf):
+    """The merges of one run block reduced at once, or None when its
+    distances tie (_block_extremes)."""
     s0, s1, g0, g1, add_left = layout
     sz = s1[merges] - s0[merges]
     R = int(sz.sum())
@@ -454,13 +461,7 @@ def _run_block(Y, F, layout, merges, out, buf) -> bool:
     else:
         L, E = factors
         V, screen = np.matmul(L, F[lo:hi].T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
-    return _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], out, screen, True)
-
-
-def _merge_part(Y, F, i, a0, a1, b0, b1, buf):
-    """The extremes of merge i over its rows [a0, a1) only, as a unit's result."""
-    near, at, far = _merge_extremes(Y, F, a0, a1, b0, b1, buf)
-    return np.array([i]), np.array([near]), np.array([at], dtype=np.int64), np.array([far])
+    return _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], screen, True)
 
 
 def _inv_part(Y, spans):
@@ -544,9 +545,7 @@ class Dendrogram:
           merges of one heavy path share a block.  The smaller child may
           be either child, so each merge keeps its own left x right order;
         - a merge too large for one block is reduced on its own, in the
-          blocks of _blocks (_merge_extremes), _PART_BLOCKS row bands of
-          them at a time; the parts are folded in row order with a strict
-          <, so the first pair at the minimum still wins.
+          blocks of _blocks (_merge_extremes).
 
         A block of at least _SCREEN_MIN_ELEMS entries is screened: one
         GEMM ranks its entries by approximate squared distance, from
@@ -561,11 +560,15 @@ class Dendrogram:
         the tree-order dendrogram of its tree (tree_order), whose scan
         exact_cut_weights and kt_factor read too.
 
-        When the cross pairs outside the tiles reach _POOL_MIN_PAIRS, the
-        units (the tile pass, each run block and each part of a merge too
-        large for one block) run on core.fork_map's workers, which inherit the points and factors at fork; the parent
-        folds their results in unit order, so the output is bitwise that
-        of the serial pass.
+        Each merge belongs to exactly one unit (_run_units): the tile
+        pass, a run block, or a merge too large for one block, and the
+        parent writes each unit's results where they belong.  When the
+        cross pairs outside the tiles reach _POOL_MIN_PAIRS and OpenBLAS
+        runs one thread (_one_blas_thread; its threads would share the
+        cores with the workers), the units run on core.fork_map's workers,
+        which inherit the points and factors at fork, and the output is
+        bitwise that of the serial pass.  The largest merges go first, so
+        two workers finish together (core._MAX_WORKERS).
         """
         cell = self._cross
         if cell is None:
@@ -579,25 +582,15 @@ class Dendrogram:
         children[children < 0] = -1
         a0, a1, b0, b1 = spans.T
         small = b1 - a0 <= _tile_cap()
-        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum())
-        # each process, the parent when serial, runs its units in its own
-        # scratch and buffer
-        scratch = (np.empty(m), np.empty((m, 2), dtype=np.int64), np.empty(m))
-        buf = np.empty(_CHUNK_ELEMS)
-        units = _run_units(Y, _screen_factors(Y), spans, children, ~small, scratch, buf)
-        if small.any():
-            units.insert(0, partial(_tile_pass, Y, spans, children, small, scratch, buf))
-        dmin = np.full(m, np.inf)
-        dmax = np.full(m, -np.inf)
+        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum()) if _one_blas_thread() else 1
+        # each process, the parent when serial, runs its units in its own buffer
+        units = _run_units(Y, _screen_factors(Y), spans, children, small, np.empty(_CHUNK_ELEMS))
+        dmin = np.empty(m)
+        dmax = np.empty(m)
         first = np.empty((m, 2), dtype=np.int64)  # DFS positions of the closest pair
         with fork_map(lambda u: units[u](), range(len(units)), workers, label="block") as results:
-            # a merge in parts gets them in row order, so the strict < keeps
-            # its first pair at the minimum; any other merge is in one unit
             for merges, near, at, far in results:
-                closer = near < dmin[merges]
-                dmin[merges[closer]] = near[closer]
-                first[merges[closer]] = at[closer]
-                dmax[merges] = np.maximum(dmax[merges], far)
+                dmin[merges], first[merges], dmax[merges] = near, at, far
         order = self.leaf_spans()[0]
         stats = CrossStats(dmin, order[first], dmax)
         cell[:] = (points, stats)

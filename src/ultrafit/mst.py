@@ -7,7 +7,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointSet, canonical_edges, chunks, compact, cross_distances, index_dtype
+from .core import PointSet, _roots, canonical_edges, chunks, compact, cross_distances, index_dtype
 
 _FILTER_EDGES_PER_POINT = 4  # kruskal sorts about this many edges per point per batch
 _FILTER_SAMPLE = 1 << 16  # live weights sampled for a batch's threshold
@@ -63,16 +63,6 @@ def _as_edge_arrays(edges):
     ones are not copied into int64 (canonical_edges widens each batch)."""
     u, v, w = edges
     return np.asarray(u), np.asarray(v), np.asarray(w, dtype=np.float64)
-
-
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """Root of every element, by pointer jumping; parent is not modified."""
-    roots = parent
-    while True:
-        nxt = roots[roots]
-        if (nxt == roots).all():
-            return roots
-        roots = nxt
 
 
 def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:

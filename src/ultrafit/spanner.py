@@ -160,10 +160,10 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
     return nontrivial, (_sorted_unique(np.concatenate(pieces)) if pieces else None)
 
 
-def _worker_count(n: int, scale_count: int) -> int:
-    """Processes to run scale_count scales of n points in: one (serial)
-    below the crossover, else as many as core.worker_limit allows."""
-    return 1 if n < _POOL_MIN_ROWS else min(worker_limit(), scale_count)
+def _worker_count(n: int) -> int:
+    """Processes to run the scales of n points in: one (serial) below the
+    crossover, else as many as core.worker_limit allows."""
+    return 1 if n < _POOL_MIN_ROWS else worker_limit()
 
 
 def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
@@ -188,7 +188,7 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     union = np.arange(1, n, dtype=np.uint64)  # coarsest-scale star on point 0
     job = partial(_scale_pairs, X, config, scales)
     scale_ids = range(1, len(scales))
-    with fork_map(job, scale_ids, _worker_count(n, len(scale_ids)), label="scale") as results:
+    with fork_map(job, scale_ids, _worker_count(n), label="scale") as results:
         for nontrivial, scale in results:
             if scale is not None:
                 # two sorted runs, which a stable sort merges in linear time

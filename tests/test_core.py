@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -172,6 +173,13 @@ def test_fork_map_yields_in_id_order(workers):
     ids = [17, 3, 39, 0, 8, 22, 5, 31]
     with fork_map(job, ids, workers) as results:
         assert list(results) == [job(i) for i in ids]
+
+
+@needs_fork
+def test_fork_map_runs_a_single_id_in_this_process():
+    # one id starts no worker, however many the caller allows
+    with fork_map(lambda i: os.getpid(), [0], 2) as results:
+        assert list(results) == [os.getpid()]
 
 
 @needs_fork

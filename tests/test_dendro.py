@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -473,10 +474,10 @@ def _spy_block_extremes(monkeypatch):
     calls = []
     block_extremes = dendro_mod._block_extremes
 
-    def spy(V, rowpos, colpos, seg, merges, flip, out, screen=None, row_segments=False):
-        reduced = block_extremes(V, rowpos, colpos, seg, merges, flip, out, screen, row_segments)
-        calls.append(_Block(V.shape, merges.tolist(), screen is not None, bool(flip.any()), reduced))
-        return reduced
+    def spy(V, rowpos, colpos, seg, merges, flip, screen=None, row_segments=False):
+        result = block_extremes(V, rowpos, colpos, seg, merges, flip, screen, row_segments)
+        calls.append(_Block(V.shape, merges.tolist(), screen is not None, bool(flip.any()), result is not None))
+        return result
 
     monkeypatch.setattr(dendro_mod, "_block_extremes", spy)
     return calls
@@ -549,6 +550,7 @@ def test_screen_falls_back_near_overflow(monkeypatch):
 def pool(monkeypatch):
     """Every cross_stats and inv_sums call runs its units in worker processes."""
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     if worker_limit() < 2:
         pytest.skip("needs fork and two usable CPUs")
 
@@ -843,6 +845,7 @@ def test_cross_stats_pools_only_past_the_crossover(fork_map_calls, monkeypatch):
     _, spans = d._dfs_layout(p)
     a0, a1, b0, b1 = spans.T
     outside = int(((a1 - a0) * (b1 - b0))[b1 - a0 > dendro_mod._tile_cap()].sum())
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     for threshold, workers in ((outside + 1, 1), (outside, worker_limit())):
         monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", threshold)
         fork_map_calls.clear()
@@ -854,15 +857,95 @@ def test_cross_stats_pools_only_past_the_crossover(fork_map_calls, monkeypatch):
 def test_pooled_cross_stats_match_serial_for_every_algorithm(algo, pool, monkeypatch):
     from ultrafit import run_algorithm
 
-    # a small block cap makes the large merges split into several units
+    # a small block cap makes the large merges span several blocks
     cap = 1 << 12
     monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", cap)
     p = PointSet(_blobs(700, 5, 71))
     d = run_algorithm(algo, p).dendrogram
     a0, a1, b0, b1 = d._dfs_layout(p)[1].T
-    band = np.maximum(1, cap // np.minimum(b1 - b0, cap))  # rows of one _blocks block
-    assert ((a1 - a0) * (b1 - b0) > cap)[a1 - a0 > dendro_mod._PART_BLOCKS * band].any()  # a merge in parts
+    assert ((a1 - a0) * (b1 - b0) > cap).any()  # a merge over several blocks
     _assert_bitwise(replace(d, _cross=None).cross_stats(p), _serial_stats(d, p, monkeypatch))
+
+
+def _spy_units(monkeypatch):
+    """Every unit result that cross_stats reads, in the order it reads them."""
+    results = []
+    fork_map = dendro_mod.fork_map
+
+    def record(it):
+        for result in it:
+            results.append(result)
+            yield result
+
+    @contextmanager
+    def spy(job, ids, workers, label="item"):
+        with fork_map(job, ids, workers, label) as it:
+            yield record(it)
+
+    monkeypatch.setattr(dendro_mod, "fork_map", spy)
+    return results
+
+
+def _check_units(monkeypatch):
+    """Each merge of an average tree is in exactly one unit, and the merges
+    too large for one block come first, one a unit, largest first, then
+    the tile pass."""
+    from ultrafit import run_algorithm
+
+    cap = 1 << 12
+    monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", cap)
+    p = PointSet(_blobs(700, 5, 71))
+    d = run_algorithm("average", p).dendrogram
+    a0, a1, b0, b1 = d._dfs_layout(p)[1].T
+    pairs = (a1 - a0) * (b1 - b0)
+    large = np.flatnonzero((pairs > cap) | (np.minimum(a1 - a0, b1 - b0) * p.d > cap))
+    small = np.flatnonzero(b1 - a0 <= dendro_mod._tile_cap())
+    results = _spy_units(monkeypatch)
+    got = replace(d, _cross=None).cross_stats(p)
+    units = [merges.tolist() for merges, *_ in results]
+    k = len(large)
+    assert k >= 2 and all(len(merges) == 1 for merges in units[:k])
+    lead = [merges[0] for merges in units[:k]]
+    assert sorted(lead) == large.tolist()
+    assert pairs[lead].tolist() == sorted(pairs[lead].tolist(), reverse=True)
+    assert sorted(units[k]) == small.tolist()
+    assert sorted(i for merges in units for i in merges) == list(range(len(pairs)))
+    _assert_bitwise(got, _oracle(d, p))
+
+
+def test_each_merge_is_in_one_unit_and_the_largest_go_first(monkeypatch):
+    _check_units(monkeypatch)
+
+
+def test_pooled_each_merge_is_in_one_unit_and_the_largest_go_first(pool, monkeypatch):
+    _check_units(monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "env, pooled",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+    ],
+    ids=["unset", "openblas2", "openblas1", "omp1", "openblas2-omp1", "openblas0-goto1"],
+)
+def test_cross_stats_forks_only_when_blas_runs_one_thread(env, pooled, fork_map_calls, monkeypatch):
+    # OpenBLAS threads the screening GEMMs, so workers beside its threads
+    # would oversubscribe the cores; inv_sums runs no GEMM and forks anyway
+    for name in dendro_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
+    p = PointSet(np.random.default_rng(72).random((600, 4)))
+    d = single_linkage(p)
+    _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
+    d.inv_sums(p)
+    assert fork_map_calls == [(worker_limit() if pooled else 1, "block"), (worker_limit(), "merge run")]
 
 
 def _two_hot(algo):
@@ -900,16 +983,18 @@ def _split_tie():
 
 
 def _check_split_tie(screen, monkeypatch):
-    """cross_stats of _split_tie's tree, whose root is split into units
-    with one tie at the minimum in each of two of them."""
+    """cross_stats of _split_tie's tree, whose root is reduced over many
+    _blocks blocks with one tie at the minimum in each of two of them."""
     p, d = _split_tie()
-    # 40 columns a row: one row per block, _PART_BLOCKS rows per unit
+    # 40 columns a row: one row per block
     monkeypatch.setattr(dendro_mod, "_CHUNK_ELEMS", 64)
     monkeypatch.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", screen)
     Y, spans = d._dfs_layout(p)
     root = len(spans) - 1
     assert spans[root].tolist() == [0, 40, 40, 80]
-    assert 12 // dendro_mod._PART_BLOCKS != 30 // dendro_mod._PART_BLOCKS  # ties in two units
+    blocks = list(dendro_mod._blocks(0, 40, 40, 80))
+    holding = [[b for b, (ra, re, _, _) in enumerate(blocks) if ra <= row < re] for row in (12, 30)]
+    assert holding[0] != holding[1]  # ties in two blocks
     got = replace(d, _cross=None).cross_stats(p)
     assert got.dmin[root] == 10.0 and got.pair[root].tolist() == [12, 52]
     _assert_bitwise(got, _oracle(d, p))
@@ -1062,7 +1147,6 @@ def test_tile_pass_matches_oracle_at_any_window(case, window, monkeypatch):
     tiles = _tile_roots(d, p)
     assert max(size for _, size in tiles) > _CHOSEN  # a tile larger than the window
     Y, spans = d._dfs_layout(p)
-    m = len(spans)
     children = np.column_stack((d.left, d.right)) - d.n
     children[children < 0] = -1
     small = spans[:, 3] - spans[:, 0] <= dendro_mod._tile_cap()
@@ -1073,10 +1157,9 @@ def test_tile_pass_matches_oracle_at_any_window(case, window, monkeypatch):
         return cross_distances(a, b)
 
     monkeypatch.setattr(dendro_mod, "cross_distances", spy)
-    scratch = (np.empty(m), np.empty((m, 2), dtype=np.int64), np.empty(m))
-    merges, dmin, first, dmax = dendro_mod._tile_pass(Y, spans, children, small, scratch, np.empty(dendro_mod._CHUNK_ELEMS))
+    merges, dmin, first, dmax = dendro_mod._tile_pass(Y, spans, children, small, np.empty(dendro_mod._CHUNK_ELEMS))
     monkeypatch.undo()
-    assert merges.tolist() == np.flatnonzero(small).tolist()
+    assert np.sort(merges).tolist() == np.flatnonzero(small).tolist()  # each tile merge once
     order = d.leaf_spans()[0]
     _assert_bitwise((dmin, order[first], dmax), (want.dmin[merges], want.pair[merges], want.dmax[merges]))
     # only a tile on its own exceeds the window

@@ -255,22 +255,21 @@ def test_build_spanner_memory_is_the_deduplicated_graph():
 
 
 def test_worker_count_is_serial_below_the_crossover_and_at_most_two():
-    assert _worker_count(spanner_mod._POOL_MIN_ROWS - 1, 31) == 1
-    assert 1 <= _worker_count(10**6, 31) <= 2
-    assert _worker_count(10**6, 1) == 1
+    assert _worker_count(spanner_mod._POOL_MIN_ROWS - 1) == 1
+    assert 1 <= _worker_count(10**6) <= 2
 
 
 def test_worker_count_follows_the_cpu_quota(monkeypatch):
     # a container held to one CPU by its cgroup quota builds serially
     monkeypatch.setattr(core_mod, "_cpu_quota", lambda: 1)
-    assert _worker_count(10**6, 31) == 1
+    assert _worker_count(10**6) == 1
 
 
 @pytest.fixture
 def pooled(monkeypatch):
     """Every build_spanner call runs its scales in worker processes."""
     monkeypatch.setattr(spanner_mod, "_POOL_MIN_ROWS", 0)
-    if _worker_count(0, 2) < 2:
+    if _worker_count(0) < 2:
         pytest.skip("needs fork and two usable CPUs")
 
 
