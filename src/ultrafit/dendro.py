@@ -15,16 +15,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointSet, _check_matrix_fits, _roots, cross_distances, fork_map, worker_limit
+from .core import PointSet, _check_matrix_fits, _roots, cross_distances, fork_map, paired_distances, worker_limit
 from .mst import SpanningTree
 
 _CHUNK_ELEMS = 1 << 18  # cap on the entries of one cross-distance block
 # Blocks of at least _SCREEN_MIN_ELEMS entries are screened (see
 # Dendrogram.cross_stats); below that a plain cdist block is cheaper.
 _SCREEN_MIN_ELEMS = 1 << 12
-# Screening bounds rounding errors relative to the squared norms; outside
-# this range a sum could overflow, or underflow could add absolute errors.
-_SCREEN_NORMS = (2.0**-900, np.finfo(np.float64).max / 4)
+# Screening bounds rounding errors relative to the squared norms M of a
+# block (_row_factors); outside these ranges a sum could overflow, or
+# underflow could add absolute errors.  A block whose M is within the
+# binary64 range alone is screened in binary64 only.
+_SCREEN_NORMS = (2.0**-100, float(np.finfo(np.float32).max) / 4)  # binary32
+_SCREEN_NORMS_64 = (2.0**-900, np.finfo(np.float64).max / 4)
+# candidates per cdist block of _pair_distances, whose diagonal holds their
+# values.  6,582 random pairs of 1800 points took, in ms, at block sizes
+#   block     1    4    8   12   16   32   64
+#   d = 77   21  6.6  4.6  4.5  4.7  6.8   12
+#   d = 16   18  5.0  2.9  2.4  2.1  2.1  2.9
+# (medians of 7 calls, 2 cores), against 7.6 ms (d = 77) for one cdist
+# block of 720k entries, about the candidates' rows x columns on the
+# benchmark's high-d trees.
+_PAIR_BLOCK = 8
 
 
 class CrossStats(NamedTuple):
@@ -52,52 +64,88 @@ def _extremes(block: np.ndarray):
     return block[r, c], r, c, block.flat[block.argmax()]
 
 
-def _screen_factors(Y: np.ndarray) -> np.ndarray:
+def _screen_factors(Y: np.ndarray):
     """Column factors F = [y', 1, N] of every row of Y, centred once on
-    the mean c of all rows: y' = y - c and N = |y'|^2.  A screened block
-    takes its columns' factors as a slice of F and builds its rows'
-    (_row_factors)."""
+    the mean c of all rows: y' = y - c and N = |y'|^2, as the pair (F, F
+    rounded to binary32).  A screened block takes its columns' factors as
+    a slice of either and builds its rows' (_row_factors)."""
     d = Y.shape[1]
     F = np.empty((len(Y), d + 2))
     Yc = np.subtract(Y, Y.mean(axis=0), out=F[:, :d])
     F[:, d] = 1.0
     F[:, d + 1] = np.einsum("ij,ij->i", Yc, Yc)
-    return F
+    with np.errstate(over="ignore"):  # such rows are outside _SCREEN_NORMS
+        return F, F.astype(np.float32)
 
 
-def _row_factors(F: np.ndarray, rows: np.ndarray, c0: int, c1: int):
-    """Row factors L and margin E for rows `rows` of F against its columns
-    [c0, c1), or None when M (below) is outside _SCREEN_NORMS.
+def _screens(F, rows: np.ndarray, c0: int, c1: int):
+    """M = max N over rows `rows` of the factors F + max N over rows
+    [c0, c1), in binary64, and the screens the block takes in turn, as
+    _row_factors' precise flags: binary32 then binary64 when M is within
+    _SCREEN_NORMS, binary64 alone within _SCREEN_NORMS_64, and none
+    outside both (NaN and inf included)."""
+    N = F[0][:, -1]
+    M = N[rows].max() + N[c0:c1].max()
+    if _SCREEN_NORMS[0] <= M <= _SCREEN_NORMS[1]:
+        return M, (False, True)
+    return M, (True,) if _SCREEN_NORMS_64[0] <= M <= _SCREEN_NORMS_64[1] else ()
 
-    L = [-2a', N, 1] and R = F[c0:c1] = [b', 1, N], so (L @ R.T)[i, j]
-    approximates the squared distance s = |a_i - b_j|^2.  Against the
-    square of the cdist value D, the GEMM errs by at most (d+2) eps M,
-    with M = max N over the rows + max N over the columns, the norms by
-    d eps M / 2, the centring by 2 eps M and cdist itself by (d+4) eps M,
-    so |L @ R.T - D^2| <= E = 8 (d+4) eps M holds with room to spare, in
-    any summation order.  Every term is bounded through the norms of the
-    centred rows alone, so the bound holds for any centre c, the one
-    shared by the whole tree included, as long as M is taken from the
-    norms after that centring.
+
+def _row_factors(F, rows: np.ndarray, c0: int, c1: int, M: float, precise: bool):
+    """Row factors L, column factors R and margin E of rows `rows` of the
+    factors F against rows [c0, c1), in binary32, or in binary64 when
+    precise; M from _screens(F, rows, c0, c1).
+
+    L = [-2a', N, 1] and R = [b', 1, N], so (L @ R.T)[i, j] approximates
+    the squared distance s = |a_i - b_j|^2, with |L @ R.T - D^2| <= E =
+    8 (d+4) eps M against the square of the cdist value D, eps the
+    machine epsilon of the GEMM's precision, in any summation order.  Let
+    u = eps / 2.  In binary64, the GEMM errs by at most (d+2) eps M, the
+    norms by d eps M / 2, the centring by 2 eps M and cdist itself by
+    (d+4) eps M.  In binary32, rounding the inputs moves each product
+    a'_k b'_k by at most 2u |a'_k b'_k| and each norm by u N, so the
+    exact sum moves by at most 2u 2 sum |a'_k b'_k| + u (N_a + N_b) <=
+    3u M, as 2 |a'_k b'_k| <= a'_k^2 + b'_k^2.  The d+2 terms of the sum,
+    whose magnitudes add up to at most about 2M, accumulate at most
+    (d+2) u / (1 - (d+2) u) 2M ~ (d+2) eps M in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1):
+    (d+4) eps M in all, to which the binary64 errors add less than 2^-26
+    as much.  So E holds with room to spare as long as (d+2) u <= 1/2,
+    which every d below 2^22 meets; binary32 factors are used only there.
+    M within _SCREEN_NORMS keeps every sum of the GEMM below the binary32
+    maximum, and a value that underflows errs by at most 2^-150, which
+    moves the sum by at most about 4d sqrt(M) 2^-150 <= d 2^-75 eps M;
+    _SCREEN_NORMS_64 does the same in binary64.
+    Every term is bounded through the norms of the centred rows alone, so
+    the bound holds for any centre c, the one shared by the whole tree
+    included, as long as M is taken from the norms after that centring.
     """
-    d = F.shape[1] - 2
-    M = F[rows, d + 1].max() + F[c0:c1, d + 1].max()
-    if not _SCREEN_NORMS[0] <= M <= _SCREEN_NORMS[1]:  # also catches NaN and inf
-        return None
-    L = F[rows]
+    d = F[0].shape[1] - 2
+    G = F[0] if precise or d >= 1 << 22 else F[1]
+    L = G[rows]
     L[:, :d] *= -2.0
     L[:, d] = L[:, d + 1]
     L[:, d + 1] = 1.0
-    return L, 8 * (d + 4) * np.finfo(np.float64).eps * M
+    return L, G[c0:c1], 8 * (d + 4) * float(np.finfo(G.dtype).eps) * M
+
+
+def _outward(x, dtype, sign: float):
+    """The binary64 values x rounded to dtype, up for sign 1 and down for
+    sign -1: an entry of dtype at or below (at or above) x compares so
+    against the rounded value too."""
+    x = np.asarray(x, dtype=np.float64)
+    y = x.astype(dtype)
+    return np.where(sign * (y - x) < 0, np.nextafter(y, sign * np.inf), y)
 
 
 def _candidates(S: np.ndarray, E: float):
     """Rows and columns of S holding every entry whose exact value may be
-    S's minimum or maximum: those within 2E of the extreme of S."""
+    S's minimum or maximum: those within 2E of the extreme of S.  The
+    bounds are taken in binary64 and rounded outward to S's precision."""
     rmin = S.min(axis=1)
     rmax = S.max(axis=1)
-    low = rmin.min() + 2 * E
-    high = rmax.max() - 2 * E
+    low = _outward(float(rmin.min()) + 2 * E, S.dtype, 1.0)
+    high = _outward(float(rmax.max()) - 2 * E, S.dtype, -1.0)
     near = rmin <= low
     far = rmax >= high
     cols = (S[near] <= low).any(axis=0) | (S[far] >= high).any(axis=0)
@@ -109,42 +157,46 @@ def _candidates(S: np.ndarray, E: float):
 # distances tie (one-hot rows, say).
 _TIED_SHARE = 1 / 8
 # cross pairs outside the tiles from which cross_stats runs its units on
-# core.fork_map's workers (all cross pairs, for inv_sums).  On 2 cores
-# (medians of 7 alternated calls on approx and average trees) pooled and
-# serial calls broke even near 7.9M such pairs (4000 points) at d = 16 and
-# 2M-4.4M (2000-3000 points) at d = 77; the pool took 0.65-0.82 of the
-# serial time from 17.9M pairs at either d, and 1.5-2.3x at 0.45M.  A
-# pooled inv_sums broke even near 2M-4.5M pairs at d = 16 and below 2M at
-# d = 77, so this constant is conservative for it
-_POOL_MIN_PAIRS = 1 << 23
+# core.fork_map's workers.  On 2 cores (pooled / serial time, medians of
+# 15 alternated calls on uniform points, approx and average trees):
+#   points (pairs)    3000 (4.4M)  4000 (7.9M)  6000 (17.9M)  8000 (31.9M)
+#   d = 16                -        1.45-2.10    1.03-1.06     0.93-1.04
+#   d = 77            1.24-1.51    1.01-1.04    0.87-0.89         -
+# and on approx trees (7 calls) 0.81 at 8000 points (d = 77) and 0.79
+# (d = 16) and 0.68 (d = 77) at 11000 points (60M pairs).
+# So the pool breaks even near 8M pairs at d = 77 and 18M-32M at d = 16.
+_POOL_MIN_PAIRS = 1 << 24
+# all cross pairs from which inv_sums runs on the workers: a pooled
+# inv_sums broke even near 2M-4.5M pairs at d = 16 and below 2M at d = 77
+_INV_POOL_MIN_PAIRS = 1 << 23
 # OpenBLAS takes its thread count from the first of these that holds a
 # positive integer, else it starts a thread per core
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # runs of whole merges that a pooled inv_sums is cut into; 4, 8, 16 and 32
 # read within noise of each other at 2000-8000 points
 _INV_UNITS = 16
-# rows of one cdist window of _tile_pass: tiles next to each other in DFS
-# order share a window up to this size, and a larger tile has one of its
-# own.  A window is one cdist call of its size squared entries, so small
-# windows compute fewer entries that no merge reads, in more calls.
-# Tile pass in ms, medians of 11 alternated calls, 2 cores (serial), the
-# trees of compare-highd-1800 (d = 77) and approx-blobs-11k's approx
-# tree (d = 16), seed 1:
+# rows of one cdist window of _tile_pass: the rows of tiles next to each
+# other in DFS order share a window up to this size, and a larger tile has
+# one of its own.  A window is one cdist call of its size squared entries,
+# so small windows compute fewer entries that no merge reads, in more
+# calls.  Tile pass in ms, medians of 11 alternated calls, 2 cores
+# (serial), the trees of compare-highd-1800 (d = 77) and
+# approx-blobs-11k's approx tree (d = 16), seed 1:
 #   window            0     8    16    32    64   127
-#   highd approx    8.3   8.2   7.9   7.9   8.4  10.0
-#   highd acc       6.7   6.5   6.5   6.8   7.6   9.5
-#   highd exact     7.5   7.2   7.3   7.7   8.5  11.3
-#   highd single    3.7   3.4   3.5   3.9   5.2   8.8
-#   highd average   6.9   6.4   6.4   6.7   7.4  10.6
-#   highd ward      8.6   9.6   9.2   9.2   9.1   9.5
-#   blobs approx   18.1  16.1  14.9  14.9  16.0  20.1
+#   highd approx    8.7   8.4   8.4   8.4   8.7  10.0
+#   highd acc       5.4   5.2   5.1   5.1   5.4   6.5
+#   highd exact     4.4   4.1   4.0   4.2   4.4   5.5
+#   highd single    2.8   2.3   2.2   2.3   2.7   3.6
+#   highd average   4.9   4.9   4.8   4.8   5.3   7.6
+#   highd ward      6.8   6.8   6.8   6.8   6.9   6.9
+#   blobs approx   15.7  12.9  11.8  11.3  11.8  13.0
 _WINDOW = 16
 
 
-def _workers(pairs) -> int:
+def _workers(pairs, crossover) -> int:
     """Processes for a pass over this many cross pairs: one below the
     crossover, else as many as core.worker_limit allows."""
-    return worker_limit() if pairs >= _POOL_MIN_PAIRS else 1
+    return worker_limit() if pairs >= crossover else 1
 
 
 def _one_blas_thread() -> bool:
@@ -180,25 +232,28 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, screen=None, row_segme
 
     V[r, c] belongs to the leaves at DFS positions rowpos[r] and
     colpos[r] + c.  It is their cdist value when screen is None; with
-    screen = (E, A, B) it is the screening GEMM's approximate square,
-    within E of the square of cdist(A, B)[r, c].  seg = (row, c0, c1,
+    screen = (E, Y) it is a screening GEMM's approximate square, in
+    binary32 or binary64, within E of the square of the cdist value of
+    those rows of Y.  seg = (row, c0, c1,
     local): segment s is V[row[s], c0[s]:c1[s]], cross pairs of merge
     merges[local[s]]; segments are disjoint and in row-major order.
     Entries outside every segment are ignored.  flip[j] says that the rows
     of merge j are its right child.
 
     Per merge, every entry within 2E of the merge's extreme in V is a
-    candidate, so the candidates hold every entry at the exact extreme.
-    With row_segments, segment r is on row r (run blocks): each row is
-    scanned against its segment's bound, and when more than _TIED_SHARE of
-    the block's entries meet their bound (distances that tie) None is
-    returned.  Otherwise (tile blocks, whose rows hold the nested segments
-    of many merges) only the segments whose own extreme is within 2E are
-    listed.  A screened block takes the
-    candidates' exact values from one cdist block over their rows and
-    columns, so no array grows beyond a few times the block.  The closest
-    pair is the candidate at the exact minimum that comes first in the
-    merge's left x right row-major order.
+    candidate, so the candidates hold every entry at the exact extreme;
+    the bounds are rounded outward to V's precision (_outward).  Only
+    the segments whose own extreme is within 2E can hold a candidate.
+    With row_segments, segment r is on row r (run blocks): the rows of
+    those segments are scanned against their bounds, and when more than
+    _TIED_SHARE of the block's entries meet their bound (distances that
+    tie, or a binary32 margin too wide for them) None is returned.
+    Otherwise (tile blocks, whose rows hold the nested segments of many
+    merges) the entries of those segments are listed.  A screened block
+    takes each candidate's exact value on its own (_pair_distances), so
+    no array grows beyond a few times the block.  The closest pair is the
+    candidate at the exact minimum that comes first in the merge's left x
+    right row-major order.
     """
     row, c0, c1, local = seg
     E = 0.0 if screen is None else screen[0]
@@ -215,18 +270,17 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, screen=None, row_segme
         seg_ext = red.reduceat(flat, bounds)[::2]
         bound = np.full(k, sign * np.inf)
         red.at(bound, local, seg_ext)
-        bound += sign * 2 * E
+        bound = _outward(bound + sign * 2 * E, V.dtype, sign)
         near = np.flatnonzero(cmp(seg_ext, bound[local]))  # segments that may hold it
-        if row_segments:  # scan each row against its segment's bound
-            thr = np.full(len(V), -sign * np.inf)
-            thr[near] = bound[local[near]]
-            hit = cmp(V, thr[:, None])
+        if row_segments:  # scan each near row against its segment's bound
+            hit = cmp(V.take(near, axis=0), bound[local[near], None])
             if np.count_nonzero(hit) > V.size * _TIED_SHARE:
                 return None
-            p = np.flatnonzero(hit)
-            s = p // C
-            inside = (p >= start[s]) & (p < end[s])
-            p, s = p[inside], s[inside]
+            i, c = np.divmod(np.flatnonzero(hit), C)
+            s = near[i]
+            inside = (c >= c0[s]) & (c < c1[s])
+            s = s[inside]
+            p = s * C + c[inside]
         else:  # list the entries of the near segments
             size = end[near] - start[near]
             s = np.repeat(near, size)
@@ -234,20 +288,13 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, screen=None, row_segme
         keep = cmp(flat[p], bound[local[s]])
         found.append((local[s[keep]], p[keep]))
     (lo, plo), (hi, phi) = found
-    p = np.concatenate((plo, phi))
-    r, c = np.divmod(p, C)
-    if screen is None:
-        val = flat[p]
-    else:  # one cdist block over the candidates' rows and columns
-        _, A, B = screen
-        ur, ri = np.unique(r, return_inverse=True)
-        uc, ci = np.unique(c, return_inverse=True)
-        val = cross_distances(A[ur], B[uc])[ri, ci]
+    r, c = np.divmod(np.concatenate((plo, phi)), C)
+    rp, cp = rowpos[r], colpos[r] + c
+    val = V[r, c] if screen is None else _pair_distances(screen[1], rp, cp)
     nlo = len(lo)
     farthest = np.full(k, -np.inf)
     np.maximum.at(farthest, hi, val[nlo:])
-    val, r, c = val[:nlo], r[:nlo], c[:nlo]
-    rp, cp = rowpos[r], colpos[r] + c
+    val, rp, cp = val[:nlo], rp[:nlo], cp[:nlo]
     closest = np.full(k, np.inf)
     np.minimum.at(closest, lo, val)
     swap = flip[lo]
@@ -260,28 +307,44 @@ def _block_extremes(V, rowpos, colpos, seg, merges, flip, screen=None, row_segme
     return merges, closest, np.column_stack((left[head], right[head])), farthest
 
 
+def _pair_distances(Y, i, j):
+    """cdist(Y[i], Y[j]).diagonal(): the cdist value of every pair on its
+    own, as diagonals of blocks of at most _PAIR_BLOCK x _PAIR_BLOCK and
+    _CHUNK_ELEMS entries (core.paired_distances), gathering at most
+    _CHUNK_ELEMS coordinates of each side at a time."""
+    k = min(_PAIR_BLOCK, math.isqrt(_CHUNK_ELEMS))
+    g = max(1, _CHUNK_ELEMS // Y.shape[1])
+    return np.concatenate([paired_distances(Y[i[s : s + g]], Y[j[s : s + g]], k) for s in range(0, len(i), g)])
+
+
 def _merge_extremes(Y, F, a0, a1, b0, b1, buf):
     """Minimum, its first pair (DFS positions) and maximum over the cross
-    pairs of one merge, in the blocks of _blocks; screened, from the
-    factors F = _screen_factors(Y), when the merge has at least
-    _SCREEN_MIN_ELEMS cross pairs.  buf holds the GEMM output."""
+    pairs of one merge, in the blocks of _blocks.  When the merge has at
+    least _SCREEN_MIN_ELEMS cross pairs, a block is screened from the
+    factors F = _screen_factors(Y), in binary32 and, when more than
+    _TIED_SHARE of its entries are in candidate rows and columns, again
+    in binary64 (or as _screens allows); cdist then recomputes the
+    candidate rows x columns.  buf holds the GEMM output."""
     screened = (a1 - a0) * (b1 - b0) >= _SCREEN_MIN_ELEMS
     near, far, at = np.inf, -np.inf, (a0, b0)
     for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
-        screen = _row_factors(F, np.arange(ra, re), cb, ce) if screened else None
-        if screen is None:
+        block = np.arange(ra, re)
+        M, screens = _screens(F, block, cb, ce) if screened else (None, ())
+        if not screens:
             bmin, r, c, bmax = _extremes(cross_distances(Y[ra:re], Y[cb:ce]))
             r, c = ra + r, cb + c
         else:
-            L, E = screen
-            R = F[cb:ce]
-            out = buf[: len(L) * len(R)]
-            # the longer side runs along the rows of the GEMM output,
-            # where the row reductions of _candidates are fast
-            if len(L) <= len(R):
-                rows, cols = _candidates(np.matmul(L, R.T, out=out.reshape(len(L), len(R))), E)
-            else:
-                cols, rows = _candidates(np.matmul(R, L.T, out=out.reshape(len(R), len(L))), E)
+            for precise in screens:
+                L, R, E = _row_factors(F, block, cb, ce, M, precise)
+                out = buf.view(L.dtype)[: len(L) * len(R)]
+                # the longer side runs along the rows of the GEMM output,
+                # where the row reductions of _candidates are fast
+                if len(L) <= len(R):
+                    rows, cols = _candidates(np.matmul(L, R.T, out=out.reshape(len(L), len(R))), E)
+                else:
+                    cols, rows = _candidates(np.matmul(R, L.T, out=out.reshape(len(R), len(L))), E)
+                if len(rows) * len(cols) <= out.size * _TIED_SHARE:
+                    break
             rows += ra
             cols += cb
             bmin, r, c, bmax = _extremes(cross_distances(Y[rows], Y[cols]))
@@ -298,12 +361,15 @@ def _tile_pass(Y, spans, children, small, buf):
     (merges, dmin, first, dmax) of them, as every unit of _run_units does.
 
     A tile's leaves are one contiguous row range.  Tiles next to each
-    other in DFS order share a window of at most min(_WINDOW, _tile_cap())
-    rows, and a larger tile is a window of its own, so a window's block
-    fits _CHUNK_ELEMS.  One cdist block of a window against itself holds
-    every cross pair of its merges: merge (a0, a1, b0, b1) reads rows
-    a0..a1-1, columns b0..b1-1.  Windows are stacked into blocks as wide
-    as the widest window and of at most _CHUNK_ELEMS entries, each
+    other in DFS order share a window of the rows of the tiles alone (the
+    rows between them, leaves that hang off larger merges, are left out),
+    at most min(_WINDOW, _tile_cap()) of them, and a larger tile is a
+    window of its own, so a window's block fits _CHUNK_ELEMS.  One cdist
+    block of a window against itself holds every cross pair of its
+    merges: merge (a0, a1, b0, b1) reads the window rows of leaves
+    a0..a1-1 and the window columns of leaves b0..b1-1, which are
+    contiguous as each tile's are.  Windows are stacked into blocks as
+    wide as the widest window and of at most _CHUNK_ELEMS entries, each
     reduced at once by _block_extremes, in buf."""
     a0, a1, b0, b1 = spans.T
     root = small.copy()
@@ -311,14 +377,17 @@ def _tile_pass(Y, spans, children, small, buf):
     root[kids[kids >= 0]] = False  # a small merge under a small merge is not a tile root
     # tiles are disjoint, so sorting starts and ends keeps them paired
     cap = min(_WINDOW, _tile_cap())  # a window's block fits _CHUNK_ELEMS
-    starts, ends = [], []
-    for lo, hi in zip(np.sort(a0[root]).tolist(), np.sort(b1[root]).tolist()):
-        if starts and hi - starts[-1] <= cap:
-            ends[-1] = hi
+    t0, t1 = np.sort(a0[root]), np.sort(b1[root])
+    tsize = t1 - t0
+    widths, off, win = [], [], []  # rows of each window; offset and window of each tile
+    for size in tsize.tolist():
+        if widths and widths[-1] + size <= cap:
+            off.append(widths[-1])
+            widths[-1] += size
         else:
-            starts.append(lo)
-            ends.append(hi)
-    widths = np.subtract(ends, starts).tolist()
+            off.append(0)
+            widths.append(size)
+        win.append(len(widths) - 1)
     K = max(widths)  # columns of one stacked block
     band = _CHUNK_ELEMS // K  # rows of one stacked block
     base = []  # stacked row of each window's first leaf
@@ -330,23 +399,24 @@ def _tile_pass(Y, spans, children, small, buf):
             pos = 0
         base.append((len(cuts) - 1) * band + pos)
         pos += size
-    cuts.append(len(starts))
-    w0, w1, base = np.array(starts), np.array(ends), np.array(base)
-    sizes = w1 - w0
-    step = _steps(sizes)
+    cuts.append(len(widths))
+    base, off = np.array(base), np.array(off)
+    first = base[win] + off  # stacked row of each tile's first leaf
+    step = _steps(tsize)
     rowpos = np.zeros(len(cuts) * band, dtype=np.int64)
     colpos = np.zeros_like(rowpos)
-    rowpos[np.repeat(base, sizes) + step] = np.repeat(w0, sizes) + step
-    colpos[np.repeat(base, sizes) + step] = np.repeat(w0, sizes)
+    rowpos[np.repeat(first, tsize) + step] = np.repeat(t0, tsize) + step
+    colpos[np.repeat(first, tsize) + step] = np.repeat(t0 - off, tsize)
     # one segment per left-child row of each tile merge
     M = np.flatnonzero(small)
-    win = np.searchsorted(w0, a0[M], side="right") - 1
+    tile = np.searchsorted(t0, a0[M], side="right") - 1
+    shift = off[tile] - t0[tile]  # window column of a leaf minus its DFS position
     na = a1[M] - a0[M]
-    srow = np.repeat(base[win] + a0[M] - w0[win], na) + _steps(na)
-    sc0 = np.repeat(b0[M] - w0[win], na)
+    srow = np.repeat(first[tile] + a0[M] - t0[tile], na) + _steps(na)
+    sc0 = np.repeat(b0[M] + shift, na)
     order = np.argsort(srow * K + sc0)
     srow, sc0 = srow[order], sc0[order]
-    sc1 = np.repeat(b1[M] - w0[win], na)[order]
+    sc1 = np.repeat(b1[M] + shift, na)[order]
     smerge = np.repeat(M, na)[order]
     bseg = np.searchsorted(srow, np.arange(len(cuts)) * band)
     V = buf[: band * K].reshape(band, K)
@@ -354,8 +424,11 @@ def _tile_pass(Y, spans, children, small, buf):
     parts = []
     for b in range(len(cuts) - 1):
         for w in range(cuts[b], cuts[b + 1]):
-            r, lo, hi = int(base[w]) - b * band, int(w0[w]), int(w1[w])
-            V[r : r + hi - lo, : hi - lo] = cross_distances(Y[lo:hi], Y[lo:hi])
+            r, size = int(base[w]), widths[w]
+            lo, hi = int(rowpos[r]), int(rowpos[r + size - 1]) + 1
+            # contiguous rows (a tile wider than the window, say) are read in place
+            A = Y[lo:hi] if hi - lo == size else Y[rowpos[r : r + size]]
+            V[r - b * band : r - b * band + size, :size] = cross_distances(A, A)
         s, e = bseg[b], bseg[b + 1]
         merges, local = np.unique(smerge[s:e], return_inverse=True)
         rows = slice(b * band, (b + 1) * band)
@@ -383,8 +456,8 @@ def _run_units(Y, F, spans, children, small, buf):
     views of Y and F.  A block of at least _SCREEN_MIN_ELEMS entries is
     screened from the factors F = _screen_factors(Y), as in
     Dendrogram.cross_stats.  A merge whose own block exceeds those caps,
-    and the merges of a block whose distances tie, are reduced on their
-    own by _merge_extremes."""
+    and the merges of a block whose distances tie in both screens, are
+    reduced on their own by _merge_extremes."""
     m, d = len(spans), Y.shape[1]
     a0, a1, b0, b1 = spans.T
     add_left = a1 - a0 < b1 - b0
@@ -439,8 +512,10 @@ def _run_unit(Y, F, spans, layout, merges, buf):
 
 
 def _run_block(Y, F, layout, merges, buf):
-    """The merges of one run block reduced at once, or None when its
-    distances tie (_block_extremes)."""
+    """The merges of one run block reduced at once: screened in binary32
+    and, when that screen leaves too many candidates, in binary64 (or as
+    _screens allows; a plain cdist block below _SCREEN_MIN_ELEMS
+    entries); None when its distances tie (_block_extremes)."""
     s0, s1, g0, g1, add_left = layout
     sz = s1[merges] - s0[merges]
     R = int(sz.sum())
@@ -452,16 +527,17 @@ def _run_block(Y, F, layout, merges, buf):
         np.repeat(g1[merges] - lo, sz),
         np.repeat(np.arange(len(merges)), sz),
     )
-    A, B = Y[rowpos], Y[lo:hi]
-    factors = None
-    if R * (hi - lo) >= _SCREEN_MIN_ELEMS:
-        factors = _row_factors(F, rowpos, lo, hi)
-    if factors is None:
-        V, screen = cross_distances(A, B), None
-    else:
-        L, E = factors
-        V, screen = np.matmul(L, F[lo:hi].T, out=buf[: R * (hi - lo)].reshape(R, hi - lo)), (E, A, B)
-    return _block_extremes(V, rowpos, np.full(R, lo), seg, merges, ~add_left[merges], screen, True)
+    args = rowpos, np.full(R, lo), seg, merges, ~add_left[merges]
+    M, screens = _screens(F, rowpos, lo, hi) if R * (hi - lo) >= _SCREEN_MIN_ELEMS else (None, ())
+    if not screens:
+        return _block_extremes(cross_distances(Y[rowpos], Y[lo:hi]), *args, row_segments=True)
+    for precise in screens:
+        L, B, E = _row_factors(F, rowpos, lo, hi, M, precise)
+        V = np.matmul(L, B.T, out=buf.view(L.dtype)[: R * (hi - lo)].reshape(R, hi - lo))
+        found = _block_extremes(V, *args, screen=(E, Y), row_segments=True)
+        if found is not None:
+            return found
+    return None
 
 
 def _inv_part(Y, spans):
@@ -548,12 +624,19 @@ class Dendrogram:
           blocks of _blocks (_merge_extremes).
 
         A block of at least _SCREEN_MIN_ELEMS entries is screened: one
-        GEMM ranks its entries by approximate squared distance, from
-        factors centred once per call (_screen_factors), and cdist
-        recomputes only the rows and columns holding entries within 2E of
-        a merge's approximate minimum or maximum, which contain every
-        entry at the exact extremes, so the result equals a full scan's.
-        No cdist or GEMM block has more than _CHUNK_ELEMS entries.  The
+        binary32 GEMM ranks its entries by approximate squared distance,
+        from factors centred once per call (_screen_factors), and cdist
+        recomputes only the entries within 2E of a merge's approximate
+        minimum or maximum (each on its own in a run block, the rows x
+        columns holding them in a merge too large for one block), which
+        hold every entry at the exact extremes, so the result equals a
+        full scan's.  Where the binary32 margin leaves more than
+        _TIED_SHARE of a block's entries as candidates (a tight cluster
+        far from the centre, or distances that tie), the block is
+        screened again in binary64, as tight as before.  A block whose
+        squared norms lie outside _SCREEN_NORMS is screened in binary64
+        alone, or is plain cdist outside _SCREEN_NORMS_64.  No cdist or
+        GEMM block has more than _CHUNK_ELEMS entries.  The
         result depends only on topology and points, so it is memoized per
         PointSet object, in a cell that every replace copy of this
         dendrogram shares: normalize's output, and single linkage with
@@ -582,7 +665,7 @@ class Dendrogram:
         children[children < 0] = -1
         a0, a1, b0, b1 = spans.T
         small = b1 - a0 <= _tile_cap()
-        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum()) if _one_blas_thread() else 1
+        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum(), _POOL_MIN_PAIRS) if _one_blas_thread() else 1
         # each process, the parent when serial, runs its units in its own buffer
         units = _run_units(Y, _screen_factors(Y), spans, children, small, np.empty(_CHUNK_ELEMS))
         dmin = np.empty(m)
@@ -600,12 +683,12 @@ class Dendrogram:
         """Per merge, the sum of 1 / distance over its cross pairs (inf if
         one is 0): every pair once, through the cdist blocks of _blocks.
         Only the mean distortion needs it, so it is computed on demand.
-        Past the crossover of cross_stats, runs of whole merges, cut at
+        From _INV_POOL_MIN_PAIRS cross pairs, runs of whole merges, cut at
         about equal pair counts, are the units of core.fork_map, so each
         merge sums its blocks in the same order as a serial scan."""
         Y, spans = self._dfs_layout(points)
         pairs = np.cumsum((spans[:, 1] - spans[:, 0]) * (spans[:, 3] - spans[:, 2]))
-        workers = _workers(pairs[-1] if len(pairs) else 0)
+        workers = _workers(pairs[-1] if len(pairs) else 0, _INV_POOL_MIN_PAIRS)
         cuts = [0, len(spans)]
         if workers > 1:
             cuts[1:1] = np.unique(np.searchsorted(pairs, pairs[-1] * np.arange(1, _INV_UNITS) / _INV_UNITS)).tolist()

@@ -413,7 +413,8 @@ def _offset():
 
 
 def _huge():
-    # coordinates near 1e150: squared norms near 1e301 are still screened
+    # coordinates near 1e150: squared norms near 1e301 are outside the
+    # binary32 screening range, so blocks are screened in binary64 alone
     p = PointSet(np.random.default_rng(32).random((30, 4)) * 1e150)
     return p, single_linkage(p)
 
@@ -431,6 +432,17 @@ def _far_tight():
     rng = np.random.default_rng(36)
     x = rng.random((400, 3)) * 1e-4
     x[200:] = 1e3 + rng.random((200, 3))
+    p = PointSet(x)
+    return p, single_linkage(p)
+
+
+def _far_mid():
+    # a cluster of scale 1e-2 next to one 1e3 away: every squared norm is
+    # about 7.5e5, so E is about 10 in binary32 and 2e-8 in binary64, and
+    # the tight cluster's squared distances (about 1e-4) lie between them
+    rng = np.random.default_rng(37)
+    x = rng.random((600, 3)) * 1e-2
+    x[300:] = 1e3 + rng.random((300, 3))
     p = PointSet(x)
     return p, single_linkage(p)
 
@@ -501,7 +513,7 @@ def _spy_entries(monkeypatch, chunk):
     "make",
     [
         _random, _grid, _two, _caterpillar, _duplicates,
-        _offset, _huge, _tiny, _far_tight, _high_d, _big_grid, _grid_chain,
+        _offset, _huge, _tiny, _far_tight, _far_mid, _high_d, _big_grid, _grid_chain,
     ],
     ids=lambda f: f.__name__[1:],
 )
@@ -543,6 +555,100 @@ def test_screen_falls_back_near_overflow(monkeypatch):
     _dense_check(p, d, stats)
 
 
+def _spy_kernel(monkeypatch):
+    """Entries of every cdist block, and (dtype, all finite) of every GEMM
+    output, of this process."""
+    from ultrafit import core as core_mod
+
+    entries, gemms = [], []
+    cdist, matmul = core_mod.cdist, np.matmul
+
+    def cdist_spy(a, b, *args, **kw):
+        out = cdist(a, b, *args, **kw)
+        entries.append(out.size)
+        return out
+
+    def matmul_spy(a, b, *args, **kw):
+        out = matmul(a, b, *args, **kw)
+        gemms.append((out.dtype, bool(np.isfinite(out).all())))
+        return out
+
+    monkeypatch.setattr(core_mod, "cdist", cdist_spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    return entries, gemms
+
+
+def _binary64_only(monkeypatch):
+    """Every screen in binary64, as before binary32 screens."""
+    row_factors = dendro_mod._row_factors
+    monkeypatch.setattr(
+        dendro_mod, "_row_factors", lambda F, rows, c0, c1, M, precise: row_factors(F, rows, c0, c1, M, True)
+    )
+
+
+def test_binary64_rescreen_keeps_tight_clusters_selective(monkeypatch):
+    # in _far_mid's tight cluster the binary32 margin makes every entry a
+    # candidate; screened again in binary64, the scan computes no more
+    # cdist entries than a scan screened in binary64 alone
+    p, d = _far_mid()
+    entries, gemms = _spy_kernel(monkeypatch)
+    got = replace(d, _cross=None).cross_stats(p)
+    mixed = sum(entries)
+    assert {dtype for dtype, _ in gemms} == {np.dtype(np.float32), np.dtype(np.float64)}
+    entries.clear()
+    _binary64_only(monkeypatch)
+    want = replace(d, _cross=None).cross_stats(p)
+    assert mixed <= sum(entries)
+    monkeypatch.undo()
+    _assert_bitwise(got, want)
+    _assert_bitwise(got, _oracle(d, p))
+    _dense_check(p, d, got)
+
+
+def _screen_choices(p, d, monkeypatch):
+    """cross_stats with every block of at least one entry screened, and
+    the (M, screens) that _screens chose for each block."""
+    choices = []
+    screens = dendro_mod._screens
+
+    def spy(F, rows, c0, c1):
+        choices.append(screens(F, rows, c0, c1))
+        return choices[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(dendro_mod, "_screens", spy)
+        m.setattr(dendro_mod, "_SCREEN_MIN_ELEMS", 1)
+        stats = replace(d, _cross=None).cross_stats(p)
+    return choices, stats
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_screen_range_edges(edge, inside, monkeypatch):
+    # 300 random points, scaled so that the smallest (low) or the largest
+    # (high) M of a screened block lies 2^-10 inside or outside the
+    # binary32 range, which a block outside it leaves for binary64 alone;
+    # near the top, binary32 sums reach a quarter of the binary32 maximum
+    base = PointSet(np.random.default_rng(38).random((300, 3)))
+    d = single_linkage(base)
+    pick = min if edge == "low" else max
+    choices, _ = _screen_choices(base, d, monkeypatch)
+    lo, hi = dendro_mod._SCREEN_NORMS
+    step = 2.0**-10 if inside == (edge == "low") else -(2.0**-10)
+    target = (lo if edge == "low" else hi) * (1 + step)
+    p = PointSet(base.coords * np.sqrt(target / pick(choices)[0]))
+    _, gemms = _spy_kernel(monkeypatch)
+    choices, got = _screen_choices(p, d, monkeypatch)
+    M, screens = pick(choices)
+    assert M == pytest.approx(target, rel=2.0**-20) and (lo <= M <= hi) == inside
+    assert screens == ((False, True) if inside else (True,))
+    assert any(dtype == np.float32 for dtype, _ in gemms)
+    assert all(finite for _, finite in gemms)
+    monkeypatch.undo()
+    _assert_bitwise(got, _oracle(d, p))
+    _dense_check(p, d, got)
+
+
 # -- the batched kernel against the per-merge oracle -------------------------
 
 
@@ -550,6 +656,7 @@ def test_screen_falls_back_near_overflow(monkeypatch):
 def pool(monkeypatch):
     """Every cross_stats and inv_sums call runs its units in worker processes."""
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", 0)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     if worker_limit() < 2:
         pytest.skip("needs fork and two usable CPUs")
@@ -683,7 +790,7 @@ _BATCHED_TREES = pytest.mark.parametrize(
     "make",
     [
         _chain_left, _chain_right, _chain_mixed, _runs_mixed, _collinear_left, _collinear_right, _one_hot,
-        _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _far_tight, _high_d,
+        _grid_chain, _big_grid, _caterpillar, _random, _duplicates, _offset, _far_tight, _far_mid, _high_d,
     ],
     ids=lambda f: f.__name__[1:],
 )
@@ -741,8 +848,8 @@ def test_tied_high_d_chain_memory_stays_within_blocks():
     # path, and a run block gathers at most _CHUNK_ELEMS coordinates of its
     # rows (its columns are views), so the peak stays within the DFS copy
     # of the coordinates, the screening factors of every row (one more
-    # copy), the candidates' columns of one merge (at most another) and two
-    # blocks.  Candidate arrays that fill the block (n = 300) or run blocks
+    # copy, and half of one in binary32), the candidates' columns of one
+    # merge (at most another half) and two blocks.  Candidate arrays that fill the block (n = 300) or run blocks
     # of 2^18 entries with 1000 coordinates a row (n = 1000) each take more.
     for n in (300, 1000):
         p = PointSet(np.eye(n))
@@ -819,6 +926,38 @@ def test_batched_cross_stats_match_oracle_at_benchmark_shapes(monkeypatch):
 
 
 @pytest.mark.slow
+def test_screened_candidates_cost_a_few_cdist_entries_each(monkeypatch):
+    # each candidate of a screened run block gets its own cdist value, from
+    # small blocks whose diagonals hold them; one block over the
+    # candidates' rows x columns computed about 108 entries per candidate
+    # on the benchmark's high-d trees
+    from ultrafit import core as core_mod
+    from ultrafit import run_algorithm
+
+    counts = {"candidates": 0, "entries": 0}
+    cdist, pair_distances = core_mod.cdist, dendro_mod._pair_distances
+
+    def cdist_spy(a, b, *args, **kw):
+        out = cdist(a, b, *args, **kw)
+        counts["entries"] += out.size
+        return out
+
+    def spy(Y, i, j):
+        counts["candidates"] += len(i)
+        with monkeypatch.context() as m:
+            m.setattr(core_mod, "cdist", cdist_spy)
+            return pair_distances(Y, i, j)
+
+    monkeypatch.setattr(dendro_mod, "_pair_distances", spy)
+    for p, algo in _benchmark_shapes():
+        if p.d == 77:
+            d = run_algorithm(algo, p).dendrogram
+            _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
+    assert counts["candidates"] > 1000
+    assert counts["entries"] <= 16 * counts["candidates"]
+
+
+@pytest.mark.slow
 def test_pooled_batched_cross_stats_match_oracle_at_benchmark_shapes(pool):
     from ultrafit import run_algorithm
 
@@ -837,9 +976,9 @@ def _serial_stats(d, p, monkeypatch):
 
 
 def test_cross_stats_pools_only_past_the_crossover(fork_map_calls, monkeypatch):
-    # every tree of up to 4096 points stays serial, those of the benchmark's
+    # every tree of up to 5793 points stays serial, those of the benchmark's
     # 1800-row workload included
-    assert 4096 * 4095 // 2 < dendro_mod._POOL_MIN_PAIRS
+    assert 5793 * 5792 // 2 < dendro_mod._POOL_MIN_PAIRS
     p = PointSet(np.random.default_rng(70).random((600, 4)))
     d = single_linkage(p)
     _, spans = d._dfs_layout(p)
@@ -941,6 +1080,7 @@ def test_cross_stats_forks_only_when_blas_runs_one_thread(env, pooled, fork_map_
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", 0)
     p = PointSet(np.random.default_rng(72).random((600, 4)))
     d = single_linkage(p)
     _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
@@ -1021,7 +1161,7 @@ def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypat
 def test_pooled_inv_sums_match_serial(make, pool, monkeypatch):
     p, d = make()
     pooled = d.inv_sums(p)
-    monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", float("inf"))
+    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", float("inf"))
     assert pooled.tobytes() == d.inv_sums(p).tobytes()
 
 
