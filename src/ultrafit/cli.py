@@ -239,13 +239,16 @@ def cmd_eval(args) -> int:
             f"dendrogram has {dendro.n} leaves but {args.input} has {points.n} rows",
         )
     unique, groups = dedupe(points)
-    try:
-        if unique.n != points.n:
-            dendro = contract_duplicates(dendro, groups)
-        report = distortion(unique, dendro, normalize_first=args.normalize)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from None
-    payload = json.dumps(report.to_dict(), sort_keys=True) + "\n"
+    if unique.n == 1:  # no pair to measure; fit writes such lists
+        report = dict.fromkeys(("max", "min", "mean", "argmax_pair", "scale")) | {"n": 1, "algorithm": ""}
+    else:
+        try:
+            if unique.n != points.n:
+                dendro = contract_duplicates(dendro, groups)
+            report = distortion(unique, dendro, normalize_first=args.normalize).to_dict()
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_INPUT, str(exc)) from None
+    payload = json.dumps(report, sort_keys=True) + "\n"
     _write(args.out, payload)
     return 0
 

@@ -166,15 +166,9 @@ _TIED_SHARE = 1 / 8
 # (d = 16) and 0.68 (d = 77) at 11000 points (60M pairs).
 # So the pool breaks even near 8M pairs at d = 77 and 18M-32M at d = 16.
 _POOL_MIN_PAIRS = 1 << 24
-# all cross pairs from which inv_sums runs on the workers: a pooled
-# inv_sums broke even near 2M-4.5M pairs at d = 16 and below 2M at d = 77
-_INV_POOL_MIN_PAIRS = 1 << 23
 # OpenBLAS takes its thread count from the first of these that holds a
 # positive integer, else it starts a thread per core
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# runs of whole merges that a pooled inv_sums is cut into; 4, 8, 16 and 32
-# read within noise of each other at 2000-8000 points
-_INV_UNITS = 16
 # rows of one cdist window of _tile_pass: the rows of tiles next to each
 # other in DFS order share a window up to this size, and a larger tile has
 # one of its own.  A window is one cdist call of its size squared entries,
@@ -191,12 +185,6 @@ _INV_UNITS = 16
 #   highd ward      6.8   6.8   6.8   6.8   6.9   6.9
 #   blobs approx   15.7  12.9  11.8  11.3  11.8  13.0
 _WINDOW = 16
-
-
-def _workers(pairs, crossover) -> int:
-    """Processes for a pass over this many cross pairs: one below the
-    crossover, else as many as core.worker_limit allows."""
-    return worker_limit() if pairs >= crossover else 1
 
 
 def _one_blas_thread() -> bool:
@@ -540,20 +528,6 @@ def _run_block(Y, F, layout, merges, buf):
     return None
 
 
-def _inv_part(Y, spans):
-    """Per merge of spans, the sum of 1 / distance over its cross pairs,
-    through the cdist blocks of _blocks in order."""
-    out = np.empty(len(spans))
-    with np.errstate(divide="ignore"):
-        for i, (a0, a1, b0, b1) in enumerate(spans.tolist()):
-            inv = 0.0
-            for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
-                block = cross_distances(Y[ra:re], Y[cb:ce])
-                inv += np.reciprocal(block, out=block).sum()
-            out[i] = inv
-    return out
-
-
 @dataclass
 class Dendrogram:
     n: int
@@ -665,7 +639,8 @@ class Dendrogram:
         children[children < 0] = -1
         a0, a1, b0, b1 = spans.T
         small = b1 - a0 <= _tile_cap()
-        workers = _workers(((a1 - a0) * (b1 - b0))[~small].sum(), _POOL_MIN_PAIRS) if _one_blas_thread() else 1
+        pooled = _one_blas_thread() and ((a1 - a0) * (b1 - b0))[~small].sum() >= _POOL_MIN_PAIRS
+        workers = worker_limit() if pooled else 1
         # each process, the parent when serial, runs its units in its own buffer
         units = _run_units(Y, _screen_factors(Y), spans, children, small, np.empty(_CHUNK_ELEMS))
         dmin = np.empty(m)
@@ -681,21 +656,19 @@ class Dendrogram:
 
     def inv_sums(self, points: PointSet) -> np.ndarray:
         """Per merge, the sum of 1 / distance over its cross pairs (inf if
-        one is 0): every pair once, through the cdist blocks of _blocks.
-        Only the mean distortion needs it, so it is computed on demand.
-        From _INV_POOL_MIN_PAIRS cross pairs, runs of whole merges, cut at
-        about equal pair counts, are the units of core.fork_map, so each
-        merge sums its blocks in the same order as a serial scan."""
+        one is 0): every pair once, through the cdist blocks of _blocks in
+        order, in one serial pass.  Only the mean distortion needs it, so
+        it is computed on demand."""
         Y, spans = self._dfs_layout(points)
-        pairs = np.cumsum((spans[:, 1] - spans[:, 0]) * (spans[:, 3] - spans[:, 2]))
-        workers = _workers(pairs[-1] if len(pairs) else 0, _INV_POOL_MIN_PAIRS)
-        cuts = [0, len(spans)]
-        if workers > 1:
-            cuts[1:1] = np.unique(np.searchsorted(pairs, pairs[-1] * np.arange(1, _INV_UNITS) / _INV_UNITS)).tolist()
-        # the last merges, the root's among them, hold the most pairs: they go first
-        ids = range(len(cuts) - 2, -1, -1)
-        with fork_map(lambda u: _inv_part(Y, spans[cuts[u] : cuts[u + 1]]), ids, workers, label="merge run") as sums:
-            return np.concatenate(list(sums)[::-1])
+        out = np.empty(len(spans))
+        with np.errstate(divide="ignore"):
+            for i, (a0, a1, b0, b1) in enumerate(spans.tolist()):
+                inv = 0.0
+                for ra, re, cb, ce in _blocks(a0, a1, b0, b1):
+                    block = cross_distances(Y[ra:re], Y[cb:ce])
+                    inv += np.reciprocal(block, out=block).sum()
+                out[i] = inv
+        return out
 
     # -- LCA heights -------------------------------------------------------
 

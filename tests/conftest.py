@@ -48,8 +48,8 @@ def run_bounded():
 @pytest.fixture
 def fork_map_calls(monkeypatch):
     """Every dendro.fork_map call as (workers, label): one per
-    Dendrogram.cross_stats scan (label "block") and one per inv_sums
-    (label "merge run"); each call goes on to the real fork_map."""
+    Dendrogram.cross_stats scan (label "block"), the only fork site of the
+    evaluator; each call goes on to the real fork_map."""
     from ultrafit import dendro as dendro_mod
 
     calls = []

@@ -198,6 +198,19 @@ def test_eval_round_trip_with_duplicate_rows(tmp_path):
     assert rep["n"] == 3  # deduped count
 
 
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]], ids=["raw", "normalize"])
+@pytest.mark.parametrize("text", ["1,2\n", "1,2\n1,2\n1,2\n"], ids=["one-row", "all-duplicates"])
+def test_eval_of_one_distinct_point_reports_nulls(tmp_path, text, normalize):
+    # fit writes a merge list for such an input, so eval reads it back
+    csv = write(tmp_path, "pts.csv", text)
+    out = str(tmp_path / "d.txt")
+    assert main(["fit", "--input", csv, "--out", out]) == 0
+    rep_out = str(tmp_path / "rep.json")
+    assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep_out, *normalize]) == 0
+    rep = json.load(open(rep_out))
+    assert rep == {"max": None, "min": None, "mean": None, "argmax_pair": None, "n": 1, "algorithm": "", "scale": None}
+
+
 def test_eval_normalize_matches_fit_sidecar(tmp_path):
     rng = np.random.default_rng(8)
     csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in rng.random((40, 3)).tolist()))

@@ -654,9 +654,8 @@ def test_screen_range_edges(edge, inside, monkeypatch):
 
 @pytest.fixture
 def pool(monkeypatch):
-    """Every cross_stats and inv_sums call runs its units in worker processes."""
+    """Every cross_stats call runs its units in worker processes."""
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
-    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", 0)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     if worker_limit() < 2:
         pytest.skip("needs fork and two usable CPUs")
@@ -966,7 +965,7 @@ def test_pooled_batched_cross_stats_match_oracle_at_benchmark_shapes(pool):
         _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
 
 
-# -- cross_stats and inv_sums on the fork map ---------------------------------
+# -- cross_stats on the fork map ----------------------------------------------
 
 
 def _serial_stats(d, p, monkeypatch):
@@ -1074,18 +1073,17 @@ def test_pooled_each_merge_is_in_one_unit_and_the_largest_go_first(pool, monkeyp
 )
 def test_cross_stats_forks_only_when_blas_runs_one_thread(env, pooled, fork_map_calls, monkeypatch):
     # OpenBLAS threads the screening GEMMs, so workers beside its threads
-    # would oversubscribe the cores; inv_sums runs no GEMM and forks anyway
+    # would oversubscribe the cores; inv_sums never forks
     for name in dendro_mod._BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(dendro_mod, "_POOL_MIN_PAIRS", 0)
-    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", 0)
     p = PointSet(np.random.default_rng(72).random((600, 4)))
     d = single_linkage(p)
     _assert_bitwise(replace(d, _cross=None).cross_stats(p), _oracle(d, p))
     d.inv_sums(p)
-    assert fork_map_calls == [(worker_limit() if pooled else 1, "block"), (worker_limit(), "merge run")]
+    assert fork_map_calls == [(worker_limit() if pooled else 1, "block")]
 
 
 def _two_hot(algo):
@@ -1155,14 +1153,6 @@ def test_merge_in_parts_keeps_the_first_tied_pair(screen, monkeypatch):
 def test_pooled_merge_in_parts_keeps_the_first_tied_pair(screen, pool, monkeypatch):
     p, d, got = _check_split_tie(screen, monkeypatch)
     _assert_bitwise(got, _serial_stats(d, p, monkeypatch))
-
-
-@pytest.mark.parametrize("make", [_big_grid, _duplicates, _runs_mixed], ids=lambda f: f.__name__[1:])
-def test_pooled_inv_sums_match_serial(make, pool, monkeypatch):
-    p, d = make()
-    pooled = d.inv_sums(p)
-    monkeypatch.setattr(dendro_mod, "_INV_POOL_MIN_PAIRS", float("inf"))
-    assert pooled.tobytes() == d.inv_sums(p).tobytes()
 
 
 # -- one cross_stats scan per topology and point set ---------------------------
