@@ -120,14 +120,17 @@ def _threshold(w: np.ndarray, live, limit: int) -> float:
     return np.partition(sample, k)[k]
 
 
-def _live_chunks(w: np.ndarray, live):
-    """The live edge ids in consecutive arrays of a chunk each.  While live
-    is None every edge is live, and each chunk's ids are made as it is
-    read, so no index over all the edges exists."""
-    if live is not None:
-        return chunks(live)
-    dtype = index_dtype(len(w))
-    return (np.arange(r.start, r.stop, dtype=dtype) for r in chunks(range(len(w))))
+def _first_pass(count: int, keep) -> np.ndarray:
+    """The edge ids below count where keep(s, e), a mask over edges s to
+    e - 1, holds, found a chunk of edges at a time.  The chunks are read
+    by slice, so no index over all the edges exists."""
+    dtype = index_dtype(count)
+    parts = []
+    for r in chunks(range(count)):
+        ids = np.flatnonzero(keep(r.start, r.stop)).astype(dtype, copy=False)
+        ids += r.start
+        parts.append(ids)
+    return np.concatenate(parts)
 
 
 def kruskal(n: int, edges) -> SpanningTree:
@@ -162,8 +165,10 @@ def kruskal(n: int, edges) -> SpanningTree:
         thr = _threshold(w, live, limit)
         if np.isnan(thr):  # the rest fits one batch, or only NaN weights are left
             batch = np.arange(len(w)) if live is None else live
+        elif live is None:
+            batch = _first_pass(len(w), lambda s, e: w[s:e] <= thr)
         else:
-            batch = np.concatenate([ids[w.take(ids) <= thr] for ids in _live_chunks(w, live)])
+            batch = np.concatenate([ids[w.take(ids) <= thr] for ids in chunks(live)])
         cnt = _scan(parent, *canonical_edges(u.take(batch), v.take(batch), w.take(batch)), tu, tv, tw, cnt)
         if cnt == n - 1 or np.isnan(thr):
             break
@@ -174,7 +179,7 @@ def kruskal(n: int, edges) -> SpanningTree:
             return roots.take(u.take(ids)) != roots.take(v.take(ids))
 
         if live is None:
-            live = np.concatenate([ids[unjoined(ids)] for ids in _live_chunks(w, live)])
+            live = _first_pass(len(w), lambda s, e: roots.take(u[s:e]) != roots.take(v[s:e]))
         else:
             live = compact(live, unjoined)
     if cnt < n - 1:

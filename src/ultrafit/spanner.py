@@ -7,6 +7,7 @@ the output is connected for every seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -20,11 +21,12 @@ _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 _MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
 # points from which the scales run in worker processes.  The workers cost
 # 9-31 ms to start, serve 31 empty scales and stop, and the rows, more than
-# n * d, set where they pay: on 2 cores (uniform points, medians of 25
-# alternated builds) serial and pooled builds broke even near 750 rows at
-# d = 4, 600-750 at d = 8 and 500-750 at d = 16, below 500 at d = 2 and
-# d = 77, and the pooled build won at every d from 1000 rows
-_POOL_MIN_ROWS = 1000
+# n * d, set where they pay: on 2 cores (uniform points, gamma 2.5, medians
+# of 25 alternated builds) serial and pooled builds broke even near 300
+# rows at d = 2, 350 at d = 4 and d = 8, 500-750 at d = 16 and 250-350 at
+# d = 77, and the pooled build won at every d from 750 rows, faster in 18
+# to 25 of 25 builds
+_POOL_MIN_ROWS = 750
 # rows per X @ proj block.  OpenBLAS threads a product by its size, and
 # whole-matrix products on two workers oversubscribe two cores: on uniform
 # 20,000x16 under OpenBLAS's default threads the spanner took 3.3-3.5 s
@@ -44,8 +46,10 @@ class SpannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1):
+            raise ValueError(f"gamma must be a finite number >= 1, got {self.gamma}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def resolved(self, n: int) -> tuple[int, int]:
         """Concrete (projections, reps) for an n-point input."""
@@ -98,16 +102,35 @@ def _stream(seed: int, scale_index: int, rep: int) -> np.random.Generator:
     )
 
 
+def _index_bits(n: int) -> int:
+    """Bits that hold a point index below n in a packed (hash | index) word."""
+    return (n - 1).bit_length()
+
+
 def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: int):
     """The repetitions of scale si: the number of non-trivial ones (some
     bucket holds two or more points) and the scale's sorted distinct pairs,
-    packed (a << 32) | b, or None when the scale adds no pair."""
+    packed (a << 32) | b, or None when the scale adds no pair.
+
+    Each repetition sorts one word per point, the key's high bits above
+    the point's index (b = _index_bits(n) bits): the words group the
+    buckets and list each bucket's members in ascending index order, which
+    fixes the summation order of the bucket means.  The buckets are those
+    of the full keys unless two keys differ in their low b bits only;
+    then that repetition sorts the full keys instead, stably.  A two-point
+    bucket is its one edge whichever member is the centre, so only buckets
+    of three or more points are centred."""
     n, d = X.shape
     k, reps = config.resolved(n)
     width = config.gamma * scales[si]
+    bits = _index_bits(n)
+    low = np.uint64((1 << bits) - 1)
+    shift = np.uint64(bits)
+    index = np.arange(n, dtype=np.uint64)
     bound = np.empty(n, dtype=bool)
     bound[0] = True
-    cells = np.empty((n, k))
+    cells = np.empty((k, n))
+    high = np.empty(n, dtype=np.uint64)
     nontrivial = 0
     pieces = []
     for t in range(reps):
@@ -117,31 +140,44 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
         mixer = rng.integers(1, 2**62, size=k, dtype=np.int64) * 2 + 1
         # test_spanner checks the edges against a loop over one X @ proj
         for s in range(0, n, _PROJ_ROWS):
-            np.matmul(X[s : s + _PROJ_ROWS], proj, out=cells[s : s + _PROJ_ROWS])
+            np.matmul(X[s : s + _PROJ_ROWS], proj, out=cells[:, s : s + _PROJ_ROWS].T)
         cells /= width
-        cells += offset
+        cells += offset[:, None]
         np.floor(cells, out=cells)
         # unsigned, so the hash wraps modulo 2**64 by definition
-        key = cells.astype(np.int64).view(np.uint64) @ mixer.view(np.uint64)
-        order = np.argsort(key)
-        sk = key[order]
-        np.not_equal(sk[1:], sk[:-1], out=bound[1:])
-        starts = np.flatnonzero(bound)
-        if len(starts) == n:
+        terms = cells.astype(np.int64).view(np.uint64)
+        terms *= mixer.view(np.uint64)[:, None]
+        key = terms.sum(axis=0)
+        packed = key & ~low
+        packed |= index
+        packed.sort()
+        np.right_shift(packed, shift, out=high)
+        np.not_equal(high[1:], high[:-1], out=bound[1:])
+        if bound.all():
             continue  # all buckets singleton at this repetition
+        order = (packed & low).view(np.int64)
+        sk = key[order]
+        split = sk[1:] != sk[:-1]
+        if not np.array_equal(split, bound[1:]):
+            # two keys share their high bits: bucket by the full keys
+            order = np.argsort(key, kind="stable")
+            sk = key[order]
+            np.not_equal(sk[1:], sk[:-1], out=bound[1:])
+            if bound.all():
+                continue
         nontrivial += 1
+        starts = np.flatnonzero(bound)
         lengths = np.diff(starts, append=n)
-        # skip singletons and the degenerate full bucket (already a star)
-        keep = (lengths >= 2) & (lengths < n)
+        # two-point buckets are edges as they stand; the buckets to centre
+        # skip those, singletons and the degenerate full bucket (a star)
+        pair = starts[(lengths == 2) & (lengths < n)]
+        if len(pair):
+            pieces.append((order[pair].astype(np.uint64) << np.uint64(32)) | order[pair + 1].astype(np.uint64))
+        keep = (lengths >= 3) & (lengths < n)
         if not keep.any():
             continue
         lens = lengths[keep]
-        # members of each bucket in ascending index order, which fixes the
-        # summation order of the bucket means
-        shift = np.repeat(np.flatnonzero(keep) * n, lens)
-        seg = order[np.repeat(keep, lengths)] + shift
-        seg.sort()
-        seg -= shift
+        seg = order[np.repeat(keep, lengths)]
         st = np.zeros(len(lens), dtype=np.int64)
         np.cumsum(lens[:-1], out=st[1:])
         xs = np.take(X, seg, axis=0)
@@ -154,8 +190,9 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
         first = pos[np.searchsorted(pos, st)]
         centers = np.repeat(seg[first], lens)
         m = seg != centers
-        a = np.minimum(seg[m], centers[m]).astype(np.uint64)
-        b = np.maximum(seg[m], centers[m]).astype(np.uint64)
+        seg, centers = seg[m], centers[m]
+        a = np.minimum(seg, centers).astype(np.uint64)
+        b = np.maximum(seg, centers).astype(np.uint64)
         pieces.append((a << np.uint64(32)) | b)
     return nontrivial, (_sorted_unique(np.concatenate(pieces)) if pieces else None)
 

@@ -340,6 +340,25 @@ def test_spanner_flags_on_a_fit_without_spanner_are_usage_errors(tmp_path, capsy
     assert main(["compare", "--input", csv, "--algo", "approx,average", "--gamma", "9", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--gamma", "inf", "gamma must be a finite number >= 1, got inf"),
+        ("--gamma", "nan", "gamma must be a finite number >= 1, got nan"),
+        ("--gamma", "0.5", "gamma must be a finite number >= 1, got 0.5"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_spanner_flags_out_of_range_exit_2_naming_the_flag(tmp_path, capsys, flag, value, message):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    out = str(tmp_path / "t.txt")
+    for argv in (["fit", "--algo", "approx", "--out", out], ["compare", "--algo", "approx,average"]):
+        assert main([argv[0], "--input", csv, *argv[1:], flag, value]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert f"error: {message}\n" == captured.err and captured.out == ""
+    assert not os.path.exists(out) and not os.path.exists(out + ".json")
+
+
 def test_fit_sidecar_names_gamma_and_seed_only_when_the_fit_used_them(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
 

@@ -38,6 +38,23 @@ def test_config_validation():
         SpannerConfig(gamma=0.5)
 
 
+@pytest.mark.parametrize("gamma", [float("inf"), float("-inf"), float("nan")])
+def test_config_rejects_a_gamma_that_is_not_finite_and_at_least_one(gamma):
+    with pytest.raises(ValueError, match="gamma must be a finite number >= 1"):
+        SpannerConfig(gamma=gamma)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SpannerConfig(seed=seed)
+
+
+def test_config_accepts_gamma_one_and_numpy_integer_seeds():
+    for seed in (0, np.int64(3)):
+        assert SpannerConfig(gamma=1, seed=seed).seed == seed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_two_points_single_edge_any_seed(seed):
     p = PointSet([[0.0, 0.0], [2.5, 1.0]])
@@ -142,9 +159,11 @@ def test_stretch_within_gamma_on_most_seeds():
 
 
 def _reference_spanner_pairs(points, config):
-    """The repetition loop that build_spanner's faster hash, sort and dedup
-    replace, kept as the oracle: summed int64 key, stable argsort and
-    np.unique.  Returns the (u, v) pairs in ascending order."""
+    """The repetition loop that build_spanner's faster hash (blocked X @
+    proj in a (k, n) layout, uint64 multiply-adds), sort (one packed
+    (hash | index) word per point), pair buckets and dedup replace, kept
+    as the oracle: summed int64 key, stable argsort, every bucket centred
+    and np.unique.  Returns the (u, v) pairs in ascending order."""
     n, d = points.n, points.d
     X = points.coords
     k, reps = config.resolved(n)
@@ -221,6 +240,31 @@ def test_build_spanner_matches_reference_loop(coords, gamma):
         assert g.edge_count == len(ru), f"seed {seed}"
         assert (g.u == ru).all() and (g.v == rv).all(), f"seed {seed}"
         assert (g.w == paired_distances(p.coords[ru], p.coords[rv])).all()
+
+
+@pytest.mark.parametrize("bits", [52, 63])
+@pytest.mark.parametrize(
+    "coords, gamma",
+    [
+        (_grid(14, 2), 1.5),
+        (_grid(6, 3), 2.0),
+        (np.repeat(np.eye(5) * 4.0, 30, axis=0) + np.random.default_rng(3).random((150, 5)), 2.5),
+    ],
+    ids=["grid2d", "grid3d", "blobs"],
+)
+def test_build_spanner_matches_reference_loop_when_hashes_share_high_bits(coords, gamma, bits, monkeypatch):
+    # the packed words keep 64 - bits bits of each hash: 12 at bits = 52,
+    # where distinct hashes often share them, and 1 at bits = 63, where any
+    # repetition with three distinct hashes does; those repetitions bucket
+    # by the full hashes instead, and the edges must not change
+    monkeypatch.setattr(spanner_mod, "_index_bits", lambda n: bits)
+    p = PointSet(coords)
+    for seed in range(3):
+        cfg = SpannerConfig(gamma=gamma, seed=seed)
+        g = build_spanner(p, cfg)
+        ru, rv = _reference_spanner_pairs(p, cfg)
+        assert g.edge_count == len(ru), f"seed {seed}"
+        assert (g.u == ru).all() and (g.v == rv).all(), f"seed {seed}"
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
