@@ -9,6 +9,7 @@ edge order.
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -37,6 +38,7 @@ _SCREEN_NORMS_64 = (2.0**-900, np.finfo(np.float64).max / 4)
 # block of 720k entries, about the candidates' rows x columns on the
 # benchmark's high-d trees.
 _PAIR_BLOCK = 8
+_NEWICK_QUOTED = re.compile(r"[\s()\[\]':;,]")  # a leaf label holding one is quoted
 
 
 class CrossStats(NamedTuple):
@@ -542,6 +544,13 @@ class Dendrogram:
     # gives a copy a cell of its own.
     _cross: list | None = field(default_factory=list, repr=False, compare=False)
 
+    def __eq__(self, other):
+        """Equal n and merge rows (left, right, height); not hashable."""
+        if not isinstance(other, Dendrogram):
+            return NotImplemented
+        rows = ("left", "right", "height")
+        return self.n == other.n and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in rows)
+
     @property
     def root(self) -> int:
         return self.n - 1 + len(self.height) if self.n > 1 else 0
@@ -761,8 +770,7 @@ def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
         right.append(b)
         parent[a] = node
         parent[b] = node
-    hout = heights[order]
-    return from_merge_rows(n, left, right, hout)
+    return from_merge_rows(n, left, right, heights[order])
 
 
 def tree_order(tree: SpanningTree) -> Dendrogram:
@@ -903,8 +911,6 @@ def parse_merge_list(text: str, n_leaves: int | None = None) -> Dendrogram:
     n = len(rows) + 1
     if n_leaves is not None and n != n_leaves:
         raise ValueError(f"merge list has {len(rows)} rows implying {n} leaves, expected {n_leaves}")
-    if n == 1:
-        return from_merge_rows(1, [], [], [])
     dendro = from_merge_rows(n, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
     expect = np.array([r[3] for r in rows])
     if (expect != dendro.size).any():
@@ -920,12 +926,14 @@ def _fmt_branch(x: float) -> str:
 
 def to_newick(dendro: Dendrogram, labels=None) -> str:
     """Newick text; branch length = parent height - child height.  Leaves
-    are labelled by their ids unless labels are given.
+    are labelled by their ids unless labels are given; a label holding
+    whitespace or one of ()[]':;, is single-quoted, its quotes doubled.
 
     Tokens are emitted from an explicit stack in DFS order and joined once,
     so time and memory are linear in the text, however deep the tree."""
     n = dendro.n
     labels = [str(x) for x in (range(n) if labels is None else labels)]
+    labels = ["'" + x.replace("'", "''") + "'" if _NEWICK_QUOTED.search(x) else x for x in labels]
     if len(labels) != n:
         raise ValueError(f"need {n} labels, got {len(labels)}")
     node = labels + list(range(n - 1))  # a leaf's text, or an internal node's merge row

@@ -52,17 +52,23 @@ class SpanningTree:
     def __post_init__(self):
         if len(self.u) != self.n - 1:
             raise ValueError(f"tree over {self.n} points needs {self.n - 1} edges, got {len(self.u)}")
-        for name in ("u", "v", "w"):
-            a = np.asarray(getattr(self, name))
+        for name, a in zip("uvw", _as_edge_arrays(self.n, (self.u, self.v, self.w))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
-def _as_edge_arrays(edges):
-    """(u, v, w) as arrays; endpoints keep their integer dtype, so int32
-    ones are not copied into int64 (canonical_edges widens each batch)."""
+def _as_edge_arrays(n: int, edges):
+    """(u, v, w) as arrays, equally long with every endpoint in [0, n)
+    (else ValueError; a min and a max per endpoint array, no copy).  Integer
+    endpoints keep their dtype (canonical_edges widens each batch)."""
     u, v, w = edges
-    return np.asarray(u), np.asarray(v), np.asarray(w, dtype=np.float64)
+    u, v, w = np.asarray(u), np.asarray(v), np.asarray(w, dtype=np.float64)
+    if not len(u) == len(v) == len(w):
+        raise ValueError(f"edge arrays differ in length: u {len(u)}, v {len(v)}, w {len(w)}")
+    for name, a in (("u", u), ("v", v)):
+        if len(a) and not 0 <= a.min() <= a.max() < n:
+            raise ValueError(f"edge endpoints {name} outside [0, {n}): min {a.min()}, max {a.max()}")
+    return u, v, w
 
 
 def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:
@@ -136,7 +142,7 @@ def _first_pass(count: int, keep) -> np.ndarray:
 def kruskal(n: int, edges) -> SpanningTree:
     """Minimum spanning tree of the given weighted graph.
 
-    Edges are a (u, v, w) triple of arrays.
+    Edges are a (u, v, w) triple of equal-length arrays, endpoints in [0, n).
     Ties resolve by the canonical (weight, min index, max index) order.
     Raises DisconnectedGraphError naming the components when the edges do
     not span all n points.
@@ -153,7 +159,7 @@ def kruskal(n: int, edges) -> SpanningTree:
     integer endpoints keep their dtype, so the input is the only edge-sized
     array.
     """
-    u, v, w = _as_edge_arrays(edges)
+    u, v, w = _as_edge_arrays(n, edges)
     parent = np.arange(n, dtype=np.int64)
     tu = np.empty(n - 1, dtype=np.int64)
     tv = np.empty(n - 1, dtype=np.int64)
@@ -201,8 +207,7 @@ def connect_components(points: PointSet, forest) -> SpanningTree:
     minimum-distance cross pair, found by brute force.
     """
     n = points.n
-    fu, fv, fw = _as_edge_arrays(forest)
-    eu, ev, ew = list(fu), list(fv), list(fw)
+    eu, ev, ew = map(list, _as_edge_arrays(n, forest))
     X = points.coords
     while True:
         # labels number the components in order of their smallest member

@@ -112,25 +112,21 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
     bucket holds two or more points) and the scale's sorted distinct pairs,
     packed (a << 32) | b, or None when the scale adds no pair.
 
-    Each repetition sorts one word per point, the key's high bits above
-    the point's index (b = _index_bits(n) bits): the words group the
+    Each repetition sorts one word per point: the top 64 - b bits of its
+    multiply-add hash, which are its bucket (multiply-shift hashing),
+    above its index (b = _index_bits(n) bits).  The sorted words group the
     buckets and list each bucket's members in ascending index order, which
-    fixes the summation order of the bucket means.  The buckets are those
-    of the full keys unless two keys differ in their low b bits only;
-    then that repetition sorts the full keys instead, stably.  A two-point
-    bucket is its one edge whichever member is the centre, so only buckets
-    of three or more points are centred."""
+    fixes the summation order of the bucket means.  A two-point bucket is
+    its one edge whichever member is the centre, so only buckets of three
+    or more points are centred."""
     n, d = X.shape
     k, reps = config.resolved(n)
     width = config.gamma * scales[si]
     bits = _index_bits(n)
     low = np.uint64((1 << bits) - 1)
-    shift = np.uint64(bits)
     index = np.arange(n, dtype=np.uint64)
-    bound = np.empty(n, dtype=bool)
-    bound[0] = True
+    bound = np.ones(n, dtype=bool)  # bound[0] stays set
     cells = np.empty((k, n))
-    high = np.empty(n, dtype=np.uint64)
     nontrivial = 0
     pieces = []
     for t in range(reps):
@@ -147,25 +143,15 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
         # unsigned, so the hash wraps modulo 2**64 by definition
         terms = cells.astype(np.int64).view(np.uint64)
         terms *= mixer.view(np.uint64)[:, None]
-        key = terms.sum(axis=0)
-        packed = key & ~low
+        packed = terms.sum(axis=0)
+        packed &= ~low
         packed |= index
         packed.sort()
-        np.right_shift(packed, shift, out=high)
-        np.not_equal(high[1:], high[:-1], out=bound[1:])
+        np.greater(packed[1:] ^ packed[:-1], low, out=bound[1:])  # the high bits differ
         if bound.all():
             continue  # all buckets singleton at this repetition
-        order = (packed & low).view(np.int64)
-        sk = key[order]
-        split = sk[1:] != sk[:-1]
-        if not np.array_equal(split, bound[1:]):
-            # two keys share their high bits: bucket by the full keys
-            order = np.argsort(key, kind="stable")
-            sk = key[order]
-            np.not_equal(sk[1:], sk[:-1], out=bound[1:])
-            if bound.all():
-                continue
         nontrivial += 1
+        order = (packed & low).view(np.int64)
         starts = np.flatnonzero(bound)
         lengths = np.diff(starts, append=n)
         # two-point buckets are edges as they stand; the buckets to centre

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +40,8 @@ def test_fit_exact_merge_rows(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     out = str(tmp_path / "dendro.txt")
     assert main(["fit", "--input", csv, "--algo", "exact", "--format", "merges", "--out", out]) == 0
-    assert open(out).read() == "0 1 1.0 2\n3 2 3.0 3\n"
-    sidecar = json.load(open(out + ".json"))
+    assert Path(out).read_text() == "0 1 1.0 2\n3 2 3.0 3\n"
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["n"] == 3 and sidecar["d"] == 1 and sidecar["algorithm"] == "exact"
     assert set(sidecar["stage_timings_ms"]) == {"mst", "cutweight", "cartesian"}
 
@@ -120,10 +121,10 @@ def test_parse_csv_duplicate_rows_collapse_in_fit(tmp_path):
     csv = write(tmp_path, "dup.csv", "0.0\n0.0\n1.0\n")
     out = str(tmp_path / "d.txt")
     assert main(["fit", "--input", csv, "--algo", "exact", "--out", out]) == 0
-    rows = open(out).read().splitlines()
+    rows = Path(out).read_text().splitlines()
     assert len(rows) == 2  # 3 leaves -> 2 merges, duplicates at height 0
     assert rows[0].split()[2] == "0.0"
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["n"] == 3 and sidecar["n_unique"] == 2
 
 
@@ -131,14 +132,14 @@ def test_fit_newick_output(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     out = str(tmp_path / "t.nwk")
     assert main(["fit", "--input", csv, "--algo", "exact", "--format", "newick", "--out", out]) == 0
-    assert open(out).read() == "((0:1,1:1):2,2:3);\n"
+    assert Path(out).read_text() == "((0:1,1:1):2,2:3);\n"
 
 
 def test_fit_json_output(tmp_path):
     csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
     out = str(tmp_path / "t.json")
     assert main(["fit", "--input", csv, "--algo", "exact", "--format", "json", "--out", out]) == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["n"] == 3
     assert doc["merges"] == [[0, 1, 1.0, 2], [3, 2, 3.0, 3]]
 
@@ -149,7 +150,7 @@ def test_fit_normalize_adds_scale_and_distortion(tmp_path):
     assert main(
         ["fit", "--input", csv, "--algo", "single", "--normalize", "--out", out]
     ) == 0
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["scale"] == 1.5
     assert sidecar["max_distortion"] == 1.5
 
@@ -167,7 +168,7 @@ def test_fit_determinism_across_runs_and_threads(tmp_path):
             env={var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         )
         assert proc.returncode == 0, proc.stderr
-        blobs.append(open(out, "rb").read())
+        blobs.append(Path(out).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -178,10 +179,10 @@ def test_eval_round_trip_matches_fit(tmp_path):
     assert main(
         ["fit", "--input", csv, "--algo", "exact", "--normalize", "--out", out]
     ) == 0
-    fit_side = json.load(open(out + ".json"))
+    fit_side = json.loads(Path(out + ".json").read_text())
     rep_out = str(tmp_path / "rep.json")
     assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep_out]) == 0
-    rep = json.load(open(rep_out))
+    rep = json.loads(Path(rep_out).read_text())
     assert rep["max"] == fit_side["max_distortion"]
     assert rep["n"] == 25
 
@@ -190,10 +191,10 @@ def test_eval_round_trip_with_duplicate_rows(tmp_path):
     csv = write(tmp_path, "dup.csv", "0.0\n0.0\n1.0\n3.0\n3.0\n")
     out = str(tmp_path / "d.txt")
     assert main(["fit", "--input", csv, "--algo", "exact", "--normalize", "--out", out]) == 0
-    fit_side = json.load(open(out + ".json"))
+    fit_side = json.loads(Path(out + ".json").read_text())
     rep_out = str(tmp_path / "rep.json")
     assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep_out]) == 0
-    rep = json.load(open(rep_out))
+    rep = json.loads(Path(rep_out).read_text())
     assert rep["max"] == fit_side["max_distortion"]
     assert rep["n"] == 3  # deduped count
 
@@ -207,7 +208,7 @@ def test_eval_of_one_distinct_point_reports_nulls(tmp_path, text, normalize):
     assert main(["fit", "--input", csv, "--out", out]) == 0
     rep_out = str(tmp_path / "rep.json")
     assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep_out, *normalize]) == 0
-    rep = json.load(open(rep_out))
+    rep = json.loads(Path(rep_out).read_text())
     assert rep == {"max": None, "min": None, "mean": None, "argmax_pair": None, "n": 1, "algorithm": "", "scale": None}
 
 
@@ -218,10 +219,10 @@ def test_eval_normalize_matches_fit_sidecar(tmp_path):
     fitted = str(tmp_path / "norm.txt")
     assert main(["fit", "--input", csv, "--algo", "single", "--out", raw]) == 0
     assert main(["fit", "--input", csv, "--algo", "single", "--normalize", "--out", fitted]) == 0
-    fit_side = json.load(open(fitted + ".json"))
+    fit_side = json.loads(Path(fitted + ".json").read_text())
     rep_out = str(tmp_path / "rep.json")
     assert main(["eval", "--input", csv, "--dendrogram", raw, "--normalize", "--out", rep_out]) == 0
-    rep = json.load(open(rep_out))
+    rep = json.loads(Path(rep_out).read_text())
     assert rep["scale"] == fit_side["scale"]
     assert rep["max"] == fit_side["max_distortion"]
     # normalize rounds its factor up, so the output dominates the metric exactly
@@ -262,7 +263,7 @@ def test_compare_all_algorithms_table(tmp_path, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert "exact" in table and "single" in table
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     by_algo = {r["algorithm"]: r for r in doc["rows"]}
     assert by_algo["exact"]["max_distortion"] == pytest.approx(1.5)
     assert by_algo["single"]["max_distortion"] == pytest.approx(1.5)  # normalized
@@ -289,11 +290,11 @@ def test_compare_rows_of_the_mst_fitters_equal_separate_fits(tmp_path):
     csv = write(tmp_path, "r.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()) + "\n")
     cmp_out = str(tmp_path / "cmp.json")
     assert main(["compare", "--input", csv, "--algo", "acc,exact,single", "--out", cmp_out]) == 0
-    rows = {r["algorithm"]: r for r in json.load(open(cmp_out))["rows"]}
+    rows = {r["algorithm"]: r for r in json.loads(Path(cmp_out).read_text())["rows"]}
     for algo in ("acc", "exact", "single"):
         out = str(tmp_path / f"{algo}.txt")
         assert main(["fit", "--input", csv, "--algo", algo, "--normalize", "--out", out]) == 0
-        side = json.load(open(out + ".json"))
+        side = json.loads(Path(out + ".json").read_text())
         assert (rows[algo]["max_distortion"], rows[algo]["scale"]) == (side["max_distortion"], side["scale"]), algo
 
 
@@ -365,7 +366,7 @@ def test_fit_sidecar_names_gamma_and_seed_only_when_the_fit_used_them(tmp_path):
     def spanner_keys(*argv):
         out = str(tmp_path / "t.txt")
         assert main(["fit", "--input", csv, *argv, "--out", out]) == 0
-        side = json.load(open(out + ".json"))
+        side = json.loads(Path(out + ".json").read_text())
         return {k: side[k] for k in ("gamma", "seed") if k in side}
 
     assert spanner_keys("--algo", "approx") == {"gamma": 2.5, "seed": 0}
@@ -539,11 +540,11 @@ def test_eval_mean_matches_parent_loop_bitwise(tmp_path, algo):
     out = str(tmp_path / "t.txt")
     assert main(["fit", "--input", csv, "--algo", algo, "--out", out]) == 0
     points = parse_points_csv(csv)
-    dendro = parse_merge_list(open(out).read())
+    dendro = parse_merge_list(Path(out).read_text())
     for extra, d in (([], dendro), (["--normalize"], normalize(dendro, points)[0])):
         rep = str(tmp_path / "e.json")
         assert main(["eval", "--input", csv, "--dendrogram", out, "--out", rep, *extra]) == 0
-        assert json.load(open(rep))["mean"] == _parent_mean(points, d)
+        assert json.loads(Path(rep).read_text())["mean"] == _parent_mean(points, d)
 
 
 def test_cli_evaluation_runs_inside_cli_normalize_and_distortion(tmp_path, monkeypatch):

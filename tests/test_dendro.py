@@ -192,6 +192,26 @@ def test_newick_single_leaf():
     assert to_newick(d, ["x"]) == "x;"
 
 
+def test_newick_quotes_labels_with_reserved_characters():
+    d = build_dendrogram(collinear_tree(), [1.0, 3.0])
+    assert to_newick(d, ["a,b", "c(d)", "e:f"]) == "(('a,b':1,'c(d)':1):2,'e:f':3);"
+    assert to_newick(d, ["it's", "x y", "[z];"]) == "(('it''s':1,'x y':1):2,'[z];':3);"
+    assert to_newick(d, ["a", "b.c", 7]) == "((a:1,b.c:1):2,7:3);"
+
+
+def test_dendrogram_equality_compares_merge_rows():
+    d = build_dendrogram(collinear_tree(), [1.0, 3.0])
+    same = from_merge_rows(3, [0, 3], [1, 2], [1.0, 3.0])
+    d.leaf_spans()  # cached spans do not take part
+    assert d == same and not d != same
+    other = replace(d, height=np.array([1.0, 4.0]))
+    assert d != other
+    assert d in [other, same] and d not in [other]
+    assert d != "0 1 1.0 2"
+    with pytest.raises(TypeError):
+        hash(d)
+
+
 def test_parse_round_trip_identical():
     rng = np.random.default_rng(19)
     p = PointSet(rng.random((40, 3)))

@@ -424,3 +424,30 @@ def test_kruskal_memory_is_an_index_per_edge():
     finally:
         tracemalloc.stop()
     assert peak < 5 * g.edge_count + 4 * p.coords.nbytes
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (([0, -1], [1, 1], [1.0, 2.0]), r"endpoints u outside \[0, 3\)"),
+        (([0, 1], [1, 3], [1.0, 2.0]), r"endpoints v outside \[0, 3\)"),
+        (([0, 1], [1], [1.0, 2.0]), "differ in length: u 2, v 1, w 2"),
+        (([0, 1], [1, 2], [1.0]), "differ in length: u 2, v 2, w 1"),
+    ],
+)
+def test_kruskal_rejects_misaligned_or_out_of_range_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        kruskal(3, edges)
+
+
+@pytest.mark.parametrize(
+    "u, v, w, message",
+    [
+        ([0, 1], [1, 7], [1.0, 2.0], r"endpoints v outside \[0, 3\)"),
+        ([-2, 1], [1, 2], [1.0, 2.0], r"endpoints u outside \[0, 3\)"),
+        ([0, 1], [1, 2], [1.0], "differ in length: u 2, v 2, w 1"),
+    ],
+)
+def test_spanning_tree_rejects_misaligned_or_out_of_range_edges(u, v, w, message):
+    with pytest.raises(ValueError, match=message):
+        mst_mod.SpanningTree(n=3, u=u, v=v, w=w)

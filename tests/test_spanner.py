@@ -11,7 +11,7 @@ from ultrafit import PointSet, SpannerConfig, build_spanner, estimate_scales, ve
 from ultrafit import core as core_mod
 from ultrafit import spanner as spanner_mod
 from ultrafit.core import paired_distances
-from ultrafit.spanner import _scale_pairs, _stream, _worker_count
+from ultrafit.spanner import _index_bits, _scale_pairs, _stream, _worker_count
 
 
 def test_scales_halve_from_bbox_diameter(monkeypatch):
@@ -158,13 +158,15 @@ def test_stretch_within_gamma_on_most_seeds():
     assert fails <= 5, f"stretch above gamma on {fails}/100 seeds"
 
 
-def _reference_spanner_pairs(points, config):
+def _reference_spanner_pairs(points, config, bits=None):
     """The repetition loop that build_spanner's faster hash (blocked X @
     proj in a (k, n) layout, uint64 multiply-adds), sort (one packed
     (hash | index) word per point), pair buckets and dedup replace, kept
-    as the oracle: summed int64 key, stable argsort, every bucket centred
-    and np.unique.  Returns the (u, v) pairs in ascending order."""
+    as the oracle: summed int64 key, bucketed by its top 64 - bits bits
+    (bits defaults to _index_bits(n)) with a stable argsort, every bucket
+    centred and np.unique.  Returns the (u, v) pairs in ascending order."""
     n, d = points.n, points.d
+    shift = np.uint64(_index_bits(n) if bits is None else bits)
     X = points.coords
     k, reps = config.resolved(n)
     scales = estimate_scales(points)
@@ -179,7 +181,7 @@ def _reference_spanner_pairs(points, config):
             offset = rng.random(k)
             mixer = rng.integers(1, 2**62, size=k, dtype=np.int64) * 2 + 1
             cells = np.floor(X @ proj / width + offset).astype(np.int64)
-            key = (cells * mixer).sum(axis=1)
+            key = (cells * mixer).sum(axis=1).view(np.uint64) >> shift
             order = np.argsort(key, kind="stable")
             sk = key[order]
             sidx = idx[order]
@@ -255,14 +257,14 @@ def test_build_spanner_matches_reference_loop(coords, gamma):
 def test_build_spanner_matches_reference_loop_when_hashes_share_high_bits(coords, gamma, bits, monkeypatch):
     # the packed words keep 64 - bits bits of each hash: 12 at bits = 52,
     # where distinct hashes often share them, and 1 at bits = 63, where any
-    # repetition with three distinct hashes does; those repetitions bucket
-    # by the full hashes instead, and the edges must not change
+    # repetition with three distinct hashes does; hashes that share their
+    # high bits share a bucket, whose members link to its centre
     monkeypatch.setattr(spanner_mod, "_index_bits", lambda n: bits)
     p = PointSet(coords)
     for seed in range(3):
         cfg = SpannerConfig(gamma=gamma, seed=seed)
         g = build_spanner(p, cfg)
-        ru, rv = _reference_spanner_pairs(p, cfg)
+        ru, rv = _reference_spanner_pairs(p, cfg, bits)
         assert g.edge_count == len(ru), f"seed {seed}"
         assert (g.u == ru).all() and (g.v == rv).all(), f"seed {seed}"
 
