@@ -41,21 +41,43 @@ class CliError(Exception):
 def parse_points_csv(path: str) -> PointSet:
     """Comma-separated rows of float64 coordinates; optional header row.
 
-    Accepts LF/CRLF, requires dot decimal separators, rejects non-finite
-    values, and reports the offending row and column on failure.  A first
-    line with a cell that is not a finite number is taken as a header.
+    Accepts LF/CRLF and a UTF-8 byte-order mark, requires dot decimal
+    separators, rejects non-finite values, and reports the offending row
+    and column on failure.  A first line with a cell that is not a finite
+    number is taken as a header.
     """
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8-sig")
     except OSError as exc:
         raise CliError(EXIT_BAD_INPUT, f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{path} is not UTF-8: {exc}") from None
+    lines = text.splitlines()
+    body = lines[1:] if lines and _bad_column(lines[0]) is not None else lines
+    # numpy's C reader takes the plain files; whatever it refuses or reads
+    # as non-finite goes through the per-line loop, which accepts every
+    # spelling float() does (1_000.5, non-ASCII digits, whitespace-only
+    # lines) and names the first bad row and column in line order.  It is
+    # fed the splitlines() lines, not the path, so that both split lines
+    # alike; with no non-empty line it would warn "input contained no data".
+    if any(body):
+        try:
+            X = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if len(X) and np.isfinite(X).all():
+                return PointSet(X)
+    return PointSet(_parse_lines(path, lines))
+
+
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+    """The rows of parse_points_csv, one line at a time."""
     rows: list[list[float]] = []
     row_lines: list[int] = []  # line number of each row, for messages
     width = None
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(lines, start=1):
         try:
             parsed = list(map(float, line.split(",")))
         except ValueError:
@@ -81,7 +103,7 @@ def parse_points_csv(path: str) -> PointSet:
         row_lines.append(ln)
     if not rows:
         raise CliError(EXIT_EMPTY, f"{path}: no data rows")
-    return PointSet(_finite_array(path, rows, row_lines))
+    return _finite_array(path, rows, row_lines)
 
 
 def _bad_column(line: str) -> int | None:

@@ -877,10 +877,7 @@ def contract_duplicates(dendro: Dendrogram, groups: dict[int, list[int]]) -> Den
 
 def to_merge_rows(dendro: Dendrogram) -> list[tuple[int, int, float, int]]:
     """(left, right, height, size) per merge, ascending heights."""
-    return [
-        (int(l), int(r), float(h), int(s))
-        for l, r, h, s in zip(dendro.left, dendro.right, dendro.height, dendro.size)
-    ]
+    return list(zip(dendro.left.tolist(), dendro.right.tolist(), dendro.height.tolist(), dendro.size.tolist()))
 
 
 def format_merge_list(dendro: Dendrogram) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ def run_cli(argv, env=None):
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -420,48 +421,94 @@ def _cell_loop_parse(path):
 
 
 def _random_csv(rng):
-    """A small CSV mixing the cases the parser must keep: headers, blank and
-    whitespace lines, CRLF, padded and unusual number spellings, and now and
-    then a bad cell, a non-finite cell or a ragged row."""
+    """A CSV mixing the cases the parser must keep: headers, blank and
+    whitespace lines, CRLF, padded and unusual number spellings (some only
+    float() reads), the extremes of float64, and now and then a bad cell, a
+    non-finite cell or a ragged row.  Most files have 0-7 rows; one in six
+    has a few hundred, with those cases rare or absent, for the C reader."""
     d = int(rng.integers(1, 5))
-    cells = ["0", "-1.5", " 2.25 ", "\t3e-2", "1E+3", "+.5", "7.", "1_000.5", " 4 ", "-0.0",
+    cells = ["0", "-1.5", " 2.25 ", "\t3e-2", "1E+3", "+.5", "7.", "1_000.5", " 4 ", "-0.0",
+             "\u0661\u0662", "\xa05", "5e-324", "1.7976931348623157e308",
              repr(float(rng.standard_normal()))]
     odd = ["inf", "-inf", "nan", "1e999", "x", "", "1,5", "0x10", "--1", "1e", " "]
+    big = rng.random() < 1 / 6
+    # scales the chance of every irregular line and spelling in a long file
+    rate = float(rng.choice([0.0, 0.002, 0.02])) if big else 1.0
     lines = []
     if rng.random() < 0.4:
         lines.append(",".join(rng.choice(["x", "y", "nan", "inf", "1.0", "label"], d)))
-    for _ in range(int(rng.integers(0, 8))):
+    for _ in range(int(rng.integers(100, 400)) if big else int(rng.integers(0, 8))):
         r = rng.random()
-        if r < 0.1:
+        if r < 0.1 * rate:
             lines.append(rng.choice(["", "   ", "\t"]))
             continue
-        width = d + (int(rng.choice([-1, 1])) if r < 0.16 and d > 1 else 0)
-        row = [rng.choice(cells) if rng.random() < 0.5 else repr(float(rng.random() * 10)) for _ in range(width)]
-        if r > 0.93:
+        width = d + (int(rng.choice([-1, 1])) if r < 0.16 * rate and d > 1 else 0)
+        row = [rng.choice(cells) if rng.random() < 0.5 * rate else repr(float(rng.random() * 10)) for _ in range(width)]
+        if r > 1 - 0.07 * rate:
             row[int(rng.integers(0, width))] = rng.choice(odd)
         lines.append(",".join(row))
     newline = "\r\n" if rng.random() < 0.3 else "\n"
     return newline.join(lines) + (newline if rng.random() < 0.7 else "")
 
 
-def test_parse_csv_matches_cell_loop(tmp_path):
+def test_parse_csv_matches_cell_loop(tmp_path, monkeypatch):
     rng = np.random.default_rng(20)
+    line_loop = cli_mod._parse_lines
+    fell_back = []
+    monkeypatch.setattr(cli_mod, "_parse_lines", lambda *a: fell_back.append(True) or line_loop(*a))
     outcomes = set()
     for i in range(400):
         path = write(tmp_path, f"r{i}.csv", _random_csv(rng))
+        fell_back.clear()
         try:
             expect = _cell_loop_parse(path)
-        except CliError as exc:
-            with pytest.raises(CliError) as got:
+        except (CliError, ValueError) as exc:  # ValueError: PointSet refuses the span
+            with pytest.raises(type(exc)) as got:
                 parse_points_csv(path)
-            assert (got.value.code, str(got.value)) == (exc.code, str(exc))
-            outcomes.add(exc.code)
+            assert (getattr(got.value, "code", None), str(got.value)) == (getattr(exc, "code", None), str(exc))
+            outcomes.add(getattr(exc, "code", "overflow"))
             continue
         got = parse_points_csv(path)
         assert got.coords.shape == expect.coords.shape
         assert got.coords.tobytes() == expect.coords.tobytes()
-        outcomes.add(0)
-    assert outcomes == {0, EXIT_BAD_INPUT, EXIT_EMPTY}
+        outcomes.add((0, bool(fell_back)))
+    # both the C reader and the per-line loop produced some of the arrays
+    assert outcomes == {(0, False), (0, True), EXIT_BAD_INPUT, EXIT_EMPTY, "overflow"}
+
+
+def test_parse_csv_reads_plain_files_without_the_line_loop(tmp_path, monkeypatch):
+    x = np.random.default_rng(24).standard_normal((300, 5)) * 10.0 ** np.arange(-150, 151, 75)
+    body = "\n".join(",".join(map(repr, row)) for row in x.tolist())
+    expect = {}
+    for name, text in [("plain", body + "\n"), ("header-crlf", "a,b,c,d,e\r\n" + body.replace("\n", "\r\n"))]:
+        expect[name] = _cell_loop_parse(write(tmp_path, f"{name}.csv", text)).coords
+    monkeypatch.setattr(cli_mod, "_parse_lines", pytest.fail)
+    for name, coords in expect.items():
+        got = parse_points_csv(str(tmp_path / f"{name}.csv")).coords
+        assert got.tobytes() == coords.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_csv_skips_a_utf8_byte_order_mark(tmp_path, newline):
+    # a BOM used to make line 1 fail float() and be dropped as a header
+    bom = b"\xef\xbb\xbf"
+    for text, n in [("1,2|3,4|5,7|", 3), ("x,y|1,2|3,4|", 2)]:
+        data = text.replace("|", newline).encode()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(bom + data)
+        got = parse_points_csv(str(path)).coords
+        assert got.shape == (n, 2)
+        assert got.tobytes() == _cell_loop_parse(write(tmp_path, "plain.csv", data.decode())).coords.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "x,y\n", "\n\n", " \n\t\r\n", "x,y\r\n\r\n\r\n"])
+def test_csv_without_data_rows_exits_4_without_a_warning(tmp_path, capsys, text):
+    csv = write(tmp_path, "nodata.csv", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--input", csv, "--algo", "exact"]) == EXIT_EMPTY
+    assert caught == []
+    assert capsys.readouterr().err.strip() == f"error: {csv}: no data rows"
 
 
 @pytest.mark.parametrize(
