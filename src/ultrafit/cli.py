@@ -1,7 +1,8 @@
 """Command-line surface: CSV ingestion, fitting, comparison, evaluation.
 
-Exit codes: 0 ok, 2 malformed input file, 3 unknown algorithm or format,
-4 empty input, 5 leaf-count mismatch between dendrogram and points.
+Exit codes: 0 ok, 2 malformed input file or unwritable output path,
+3 unknown or missing algorithm or format, 4 empty input, 5 leaf-count
+mismatch between dendrogram and points.
 """
 
 import argparse
@@ -143,8 +144,11 @@ def _spanner_config(args) -> SpannerConfig:
 
 def _write(path: str | None, payload: str):
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(EXIT_BAD_INPUT, f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -195,9 +199,7 @@ def cmd_fit(args) -> int:
     exported = expand_duplicates(dendro, groups) if unique.n != points.n else dendro
     _write(args.out, _render(exported, args.format, args.algo))
     if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
-            fh.write("\n")
+        _write(args.out + ".json", json.dumps(sidecar, sort_keys=True) + "\n")
     return 0
 
 
@@ -205,6 +207,8 @@ def cmd_compare(args) -> int:
     import time
 
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+    if not algos:
+        raise CliError(EXIT_BAD_CHOICE, f"no algorithm given; choose from {ALGORITHMS}")
     for a in algos:
         if a not in ALGORITHMS:
             raise CliError(EXIT_BAD_CHOICE, f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
@@ -238,9 +242,7 @@ def cmd_compare(args) -> int:
         lines.append(f"{r['algorithm']:<10} {md:>15} {sc:>12} {r['mean_wall_ms']:>12.2f}")
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"n": points.n, "d": points.d, "rows": rows}, fh, sort_keys=True)
-            fh.write("\n")
+        _write(args.out, json.dumps({"n": points.n, "d": points.d, "rows": rows}, sort_keys=True) + "\n")
     return 0
 
 

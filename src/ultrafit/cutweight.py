@@ -2,15 +2,17 @@
 factor of a tree.
 
 Tree edges are processed in ascending canonical order; each edge merges
-the two clusters containing its endpoints.  The exact variant scans all
-cross pairs for the true maximum; the fast variant keeps one
-representative and radius per cluster and over-estimates by at most 5x.
+the two clusters containing its endpoints, which is the tree-order
+dendrogram (dendro.tree_order) that every pass here reads: node n+i is the
+merge of edge i and its DFS span lists the cluster's points.  The exact
+variant scans all cross pairs for the true maximum; the fast variant keeps
+one representative and radius per node and over-estimates by at most 5x.
 """
 
 import numpy as np
 
 from .core import PointSet, edge_distances
-from .dendro import tree_order
+from .dendro import _steps, tree_order
 from .mst import SpanningTree
 
 
@@ -32,55 +34,39 @@ def approximate_cut_weights(points: PointSet, tree: SpanningTree) -> np.ndarray:
     5 * max(d(r_C, r_D), m_C - d(r_C, r_D), m_D - d(r_C, r_D)),
     which satisfies CW(e) <= estimate <= 5 * CW(e).
 
-    Each cluster keeps a representative r_C, the first entry of its member
-    list, and its radius m_C = max distance from r_C to a member.  The
-    larger cluster C (ties to the smaller root index) keeps its
-    representative; the members of D are scanned against r_C.  Which
-    cluster is C, its representative and the members of D depend only on
-    the tree order and the cluster sizes, so they are laid out first and
-    every scan of D against r_C runs in one edge_distances call.
+    Each cluster is a node of the tree-order dendrogram (dendro.tree_order)
+    with a representative r_C and its radius m_C = max distance from r_C to
+    a member.  The larger child C (on a tie, the one with the smaller
+    representative) passes r_C on to the merge, and the members of D, its
+    DFS span, are scanned against r_C.  C depends only on the sizes and
+    representatives, so every scan runs in one edge_distances call.
     """
     n = points.n
-    parent = list(range(n))
-    size = [1] * n
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    c_roots, d_roots, c_reps = [], [], []  # per merge
-    scanned = []  # members of D, merge after merge; r_D heads each block
-    for x, y in zip(tree.u.tolist(), tree.v.tolist()):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x == y:
-            raise ValueError("merge of already-joined clusters")
-        if size[y] > size[x] or (size[y] == size[x] and y < x):
-            x, y = y, x  # x is C
-        c_roots.append(x)
-        d_roots.append(y)
-        c_reps.append(members[x][0])  # a cluster's representative heads its member list
-        scanned.extend(members[y])
-        parent[y] = x
-        size[x] += size[y]
-        members[x].extend(members[y])
-        members[y] = None
-    lens = np.array([size[y] for y in d_roots], dtype=np.int64)
-    rows = np.repeat(np.array(c_reps, dtype=np.int64), lens)
-    cols = np.array(scanned, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
+    dendro = tree_order(tree)
+    order, lo, hi = dendro.leaf_spans()
+    size = (hi - lo).tolist()
+    rep = list(range(n))  # per node: a leaf represents itself, merge n+i is appended
+    c_of, d_of = [], []
+    for c, d in zip(dendro.left.tolist(), dendro.right.tolist()):
+        if size[d] > size[c] or (size[d] == size[c] and rep[d] < rep[c]):
+            c, d = d, c
+        c_of.append(c)
+        d_of.append(d)
+        rep.append(rep[c])
+    C, D, rep = (np.array(x, dtype=np.int64) for x in (c_of, d_of, rep))
+    lens = hi[D] - lo[D]
+    starts = np.cumsum(lens) - lens
+    rows = np.repeat(rep[C], lens)
+    cols = order[np.repeat(lo[D], lens) + _steps(lens)]  # the DFS span of each D
+    by_row = np.argsort(rows, kind="stable")
     scan = np.empty(len(cols))
-    scan[order] = edge_distances(points.coords, rows[order], cols[order])
-    starts = np.zeros(n - 1, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    d_rr = scan[starts]
+    scan[by_row] = edge_distances(points.coords, rows[by_row], cols[by_row])
+    d_rr = scan[starts + lo[rep[D]] - lo[D]]  # the scan entry at r_D
     radius = [0.0] * n
-    m_c, m_d = [], []
-    for c, d, top in zip(c_roots, d_roots, np.maximum.reduceat(scan, starts).tolist()):
-        m_c.append(radius[c])
-        m_d.append(radius[d])
-        radius[c] = max(radius[c], top)
-    return 5.0 * np.maximum(np.maximum(d_rr, np.array(m_c) - d_rr), np.array(m_d) - d_rr)
+    for c, top in zip(c_of, np.maximum.reduceat(scan, starts).tolist()):
+        radius.append(max(radius[c], top))
+    radius = np.array(radius)
+    return 5.0 * np.maximum(np.maximum(d_rr, radius[C] - d_rr), radius[D] - d_rr)
 
 
 def kt_factor(points: PointSet, tree: SpanningTree) -> float:

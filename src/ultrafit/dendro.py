@@ -746,7 +746,8 @@ def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
 
     Edges merge bottom-up in ascending height order (ties follow the
     tree's canonical edge order), which reproduces the recursive
-    max-edge-split construction.
+    max-edge-split construction.  An edge whose endpoints are already
+    joined (the edges close a cycle) raises ValueError naming it.
     """
     heights = np.asarray(heights, dtype=np.float64)
     n = tree.n
@@ -766,6 +767,8 @@ def build_dendrogram(tree: SpanningTree, heights) -> Dendrogram:
     for node, (x, y) in enumerate(zip(tree.u[order].tolist(), tree.v[order].tolist()), start=n):
         a = find(x)
         b = find(y)
+        if a == b:
+            raise ValueError(f"edge {order[node - n]} ({x}, {y}) joins points already joined: not a spanning tree")
         left.append(a)
         right.append(b)
         parent[a] = node
@@ -778,10 +781,11 @@ def tree_order(tree: SpanningTree) -> Dendrogram:
     at heights 0, 1, ...: node n+i is the merge of edge i.
 
     Built once per tree and kept on it (a tree's arrays are read-only, so
-    it cannot go stale).  exact_cut_weights reads its farthest cross
-    pairs, kt_factor its closest ones, and single_linkage is the same
-    merges at heights tree.w, a replace copy that shares its cross_stats
-    cell; so on one tree and point set the three share one scan."""
+    it cannot go stale).  approximate_cut_weights reads its merges and
+    leaf spans, exact_cut_weights its farthest cross pairs, kt_factor its
+    closest ones, and single_linkage is the same merges at heights
+    tree.w, a replace copy that shares its cross_stats cell; so on one
+    tree and point set the last three share one scan."""
     if tree._order is None:
         object.__setattr__(tree, "_order", build_dendrogram(tree, np.arange(tree.n - 1)))
     return tree._order

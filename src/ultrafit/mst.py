@@ -37,7 +37,9 @@ class DisconnectedGraphError(ValueError):
 class SpanningTree:
     """Tree over n points: exactly n-1 edges.  kruskal, connect_components
     and exact_mst store them in canonical (weight, min index, max index)
-    order, which the cut-weight passes and kt_factor rely on.
+    order, which the cut-weight passes and kt_factor rely on.  Edges
+    that close a cycle are refused by dendro.build_dendrogram, which
+    every pass over a tree runs, not here.
 
     The tree is frozen and u, v and w are write-protected at construction
     (the caller's arrays included), so _order, the tree-order dendrogram

@@ -282,6 +282,34 @@ def test_compare_unknown_algorithm_exit_3(tmp_path):
     assert main(["compare", "--input", csv, "--algo", "exact,upgma"]) == 3
 
 
+@pytest.mark.parametrize("algo", [",", "", " , "])
+def test_compare_without_an_algorithm_exit_3(tmp_path, capsys, algo):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    assert main(["compare", "--input", csv, "--algo", algo]) == 3
+    captured = capsys.readouterr()
+    assert "no algorithm given; choose from" in captured.err
+    assert captured.out == ""  # no empty table
+
+
+def test_unwritable_out_exits_2_without_a_traceback(tmp_path):
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    merges = str(tmp_path / "d.txt")
+    assert main(["fit", "--input", csv, "--algo", "exact", "--out", merges]) == 0
+    missing = str(tmp_path / "no-such-dir" / "x")
+    sidecar_blocked = str(tmp_path / "s.txt")
+    os.mkdir(sidecar_blocked + ".json")  # the merges write, the sidecar cannot
+    for argv, path in (
+        (["fit", "--input", csv, "--out", missing], missing),
+        (["fit", "--input", csv, "--out", sidecar_blocked], sidecar_blocked + ".json"),
+        (["compare", "--input", csv, "--algo", "exact", "--out", missing], missing),
+        (["eval", "--input", csv, "--dendrogram", merges, "--out", missing], missing),
+    ):
+        proc = run_cli(argv)
+        assert proc.returncode == EXIT_BAD_INPUT, (argv, proc.stderr)
+        assert f"cannot write {path}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_compare_rows_of_the_mst_fitters_equal_separate_fits(tmp_path):
     # acc, exact and single share one exact MST in compare; each fit below
     # parses its own point set and computes its own

@@ -227,6 +227,9 @@ def _trees():
     p = PointSet(rng.random((400, 4)) * 1e3 + 1e6)
     g = build_spanner(p, SpannerConfig(gamma=2.0, seed=4))
     yield p, kruskal(p.n, (g.u, g.v, g.w))  # an approximate tree, as approx uses
+    cube = PointSet(np.stack(np.meshgrid(*[np.arange(7.0)] * 3), -1).reshape(-1, 3))
+    g = build_spanner(cube, SpannerConfig(gamma=2.0, seed=6))
+    yield cube, kruskal(cube.n, (g.u, g.v, g.w))  # an approximate tree whose sizes and distances tie
 
 
 def test_approx_cut_weights_bitwise_match_two_cdist_formula():
@@ -237,6 +240,33 @@ def test_approx_cut_weights_bitwise_match_two_cdist_formula():
         state = ClusterState(p)
         for ei, expected in enumerate(triples):
             assert state.merge(int(tree.u[ei]), int(tree.v[ei])) == expected, f"n={p.n} edge {ei}"
+
+
+def test_mst_passes_build_one_tree_order_dendrogram(monkeypatch):
+    p = PointSet(np.random.default_rng(29).random((120, 5)))
+    tree = exact_mst(p)
+    calls = []
+    build = dendro_mod.build_dendrogram
+
+    def spy(tree, heights):
+        calls.append(len(heights))
+        return build(tree, heights)
+
+    monkeypatch.setattr(dendro_mod, "build_dendrogram", spy)
+    approximate_cut_weights(p, tree)
+    exact_cut_weights(p, tree)
+    kt_factor(p, tree)
+    assert calls == [p.n - 1]
+
+
+@pytest.mark.parametrize("fn", [approximate_cut_weights, exact_cut_weights, kt_factor, "build"])
+def test_edges_closing_a_cycle_are_named(fn):
+    tree = SpanningTree(3, [0, 0], [1, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^edge 1 \(0, 1\) joins points already joined: not a spanning tree$"):
+        if fn == "build":
+            dendro_mod.build_dendrogram(tree, tree.w)
+        else:
+            fn(COLLINEAR, tree)
 
 
 def _union_find_cut_weights(points, tree):
