@@ -27,6 +27,7 @@ from .mst import (
     connect_components,
     exact_mst,
     kruskal,
+    minimum_forest,
 )
 from .pipeline import (
     ALGORITHMS,
@@ -37,7 +38,7 @@ from .pipeline import (
     farach_exact,
     run_algorithm,
 )
-from .spanner import SpannerConfig, SpannerGraph, build_spanner, estimate_scales, verify_stretch
+from .spanner import SpannerConfig, SpannerGraph, build_spanner, estimate_scales, spanner_forests, verify_stretch
 
 __version__ = "0.1.0"
 
@@ -49,9 +50,10 @@ __all__ = [
     "DistortionReport", "distortion",
     "METHODS", "agglomerate", "single_linkage",
     "DisconnectedGraphError", "SpanningTree", "connect_components",
-    "exact_mst", "kruskal",
+    "exact_mst", "kruskal", "minimum_forest",
     "ALGORITHMS", "FitResult", "approx_acc_ult", "approx_ult",
     "brute_force_opt_alpha", "farach_exact", "run_algorithm",
-    "SpannerConfig", "SpannerGraph", "build_spanner", "estimate_scales", "verify_stretch",
+    "SpannerConfig", "SpannerGraph", "build_spanner", "estimate_scales", "spanner_forests",
+    "verify_stretch",
     "__version__",
 ]

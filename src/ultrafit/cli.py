@@ -7,6 +7,7 @@ mismatch between dendrogram and points.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -142,6 +143,19 @@ def _spanner_config(args) -> SpannerConfig:
     return SpannerConfig(**{k: getattr(args, k) for k in SPANNER_FLAGS if getattr(args, k) is not None})
 
 
+def _check_writable(*paths: str):
+    """Refuse, before any input is read, an output path whose directory
+    does not exist or that names an existing directory: exit 2 with
+    "cannot write <path>: ...", and no file is created.  Other write
+    errors (permissions, a full disk) surface in _write."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise CliError(EXIT_BAD_INPUT, f"cannot write {path}: it is a directory")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise CliError(EXIT_BAD_INPUT, f"cannot write {path}: no directory {directory}")
+
+
 def _write(path: str | None, payload: str):
     if path:
         try:
@@ -176,6 +190,8 @@ def cmd_fit(args) -> int:
         for name in SPANNER_FLAGS:
             if getattr(args, name) is not None:
                 args.parser.error(f"--{name} applies to --algo approx only")
+    if args.out:
+        _check_writable(args.out, args.out + ".json")
     points = parse_points_csv(args.input)
     unique, groups = dedupe(points)
     result = run_algorithm(args.algo, unique, _spanner_config(args))
@@ -212,6 +228,8 @@ def cmd_compare(args) -> int:
     for a in algos:
         if a not in ALGORITHMS:
             raise CliError(EXIT_BAD_CHOICE, f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+    if args.out:
+        _check_writable(args.out)
     points = parse_points_csv(args.input)
     unique, _ = dedupe(points)
     cfg = _spanner_config(args)
@@ -247,6 +265,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     points = parse_points_csv(args.input)
     try:
         with open(args.dendrogram, "r", encoding="utf-8") as fh:

@@ -305,83 +305,144 @@ def worker_limit() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _serve(job, conn, parent_ends):
-    """A worker's loop: job(i) for each id i the parent sends, answered as
-    (True, result) or (False, the exception raised).  Ends when the parent
-    closes its end or terminates the worker.  The parent's ends inherited
-    at fork are closed first, so that the death of the parent reads as EOF
-    here."""
+def _serve(job, finish, conn, parent_ends):
+    """A worker's loop: each (True, i) the parent sends is answered with
+    job(i) as (True, result) or (False, the exception raised), and
+    (False, last) alike with finish(last), which ends the loop, as EOF
+    and termination do.  The parent's ends inherited at fork are closed
+    first, so that the death of the parent reads as EOF here."""
     for end in parent_ends:
         end.close()
     while True:
         try:
-            i = conn.recv()
+            is_job, arg = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, job(i))
+            reply = (True, (job if is_job else finish)(arg))
         except Exception as exc:
             reply = (False, exc)
         conn.send(reply)
+        if not is_job:
+            return
 
 
-def _in_order(conns, ids, label):
-    """The workers' results for ids, in order.  Each idle worker is sent
-    the next id, and every ready result is taken as soon as the caller
-    asks for the next one; results that arrive ahead of their turn wait in
-    a dict.  A worker's exception is raised here, and a worker that dies
-    (EOF on its pipe) raises an error naming the label and id it held."""
+def _reply(conn, what: str):
+    """A worker's reply on conn, as (ok, value); a worker that died (EOF
+    on its pipe) raises a RuntimeError naming what it was doing."""
+    try:
+        return conn.recv()
+    except EOFError:
+        raise RuntimeError(f"the worker {what} died") from None
+
+
+def _in_order(conns, ids, label, busy):
+    """The workers' (id, result) pairs for ids, in order.  Each idle worker
+    is sent the next id (busy maps its connection to it), and every ready
+    result is taken as soon as the caller asks for the next one; results
+    that arrive ahead of their turn wait in a dict.  A worker's exception
+    is raised when the caller reaches its id, so one past the caller's
+    last result goes unseen; a worker that dies raises an error naming
+    the label and id it held."""
     todo = iter(ids)
-    busy = {}  # connection -> the id its worker computes
-    ready = {}  # id -> result
-    for conn in conns:
+    ready = {}  # id -> (ok, result or exception)
+
+    def send_next(conn):
         i = next(todo, None)
         if i is not None:
-            conn.send(i)
+            conn.send((True, i))
             busy[conn] = i
+
+    for conn in conns:
+        send_next(conn)
     for i in ids:
         while i not in ready:
             for conn in wait(list(busy)):
                 j = busy.pop(conn)
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    raise RuntimeError(f"the worker computing {label} {j} died") from None
-                if not ok:
-                    raise value
-                ready[j] = value
-                nxt = next(todo, None)
-                if nxt is not None:
-                    conn.send(nxt)
-                    busy[conn] = nxt
-        yield ready.pop(i)
+                ready[j] = _reply(conn, f"computing {label} {j}")
+                send_next(conn)
+        ok, value = ready.pop(i)
+        if not ok:
+            raise value
+        yield i, value
+
+
+def _finish_workers(conns, busy, label, last):
+    """finish(last) from every worker, in worker order.  A worker still
+    computing an id finishes after it; that reply was not asked for and
+    is dropped, error or not."""
+    for conn in conns:
+        conn.send((False, last))
+    for conn, j in busy.items():
+        _reply(conn, f"computing {label} {j}")
+    busy.clear()
+    done = []
+    for conn in conns:
+        ok, value = _reply(conn, f"finishing its {label}s")
+        if not ok:
+            raise value
+        done.append(value)
+    return done
+
+
+class _Results:
+    """What fork_map yields: job(i) for each id, in order, and finish(),
+    the finish step's results, one per worker."""
+
+    def __init__(self, pairs, finish_all):
+        self._pairs = pairs
+        self._finish_all = finish_all
+        self._last = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self._last, value = next(self._pairs)
+        return value
+
+    def finish(self) -> list:
+        return self._finish_all(self._last)
 
 
 @contextmanager
-def fork_map(job, ids, workers: int, label: str = "item"):
+def fork_map(job, ids, workers: int, label: str = "item", finish=None):
     """job(i) for each i of ids (distinct, picklable), in order: from
     min(workers, len(ids)) forked worker processes, which inherit job and
     everything it reads, each talk to the parent over a pipe of its own
-    and compute ahead of the caller, or from the builtin map when that is
+    and compute ahead of the caller, or in this process when that is
     below 2.  The caller decides whether workers pay and asks for at most
-    worker_limit() of them.  A worker's exception is raised in the
-    parent, and a worker's death raises a RuntimeError naming label and
-    the id it held.  No worker outlives the block."""
+    worker_limit() of them.
+
+    finish is a per-worker finishing step: the results' finish() runs
+    finish(last) once in each worker (once in this process on the serial
+    path) and returns the list of what each returned; last is the id of
+    the caller's last result, None before the first.  What a worker's
+    jobs keep in its memory is there for its finish step, which can
+    reduce it before anything is sent back.
+
+    A worker's exception is raised in the parent when the caller asks for
+    its id (or calls finish()), and a worker's death raises a RuntimeError
+    naming label and the id it held, or the finish step.  No worker
+    outlives the block."""
     workers = min(workers, len(ids))
     if workers < 2:
-        yield map(job, ids)
+        yield _Results(((i, job(i)) for i in ids), lambda last: [finish(last)])
         return
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
+    busy = {}  # connection -> the id its worker computes
     try:
         for _ in range(workers):
             conn, child = fork.Pipe()
             conns.append(conn)
-            proc = fork.Process(target=_serve, args=(job, child, tuple(conns)), daemon=True)
+            proc = fork.Process(target=_serve, args=(job, finish, child, tuple(conns)), daemon=True)
             proc.start()
             procs.append(proc)
             child.close()  # the worker's end, so its death reads as EOF here
-        yield _in_order(conns, ids, label)
+        yield _Results(
+            _in_order(conns, ids, label, busy), lambda last: _finish_workers(conns, busy, label, last)
+        )
     finally:
         # a worker shares no lock with the parent, so it can be killed
         # anywhere, mid-send included

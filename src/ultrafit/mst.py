@@ -16,12 +16,9 @@ _FILTER_SAMPLE = 1 << 16  # live weights sampled for a batch's threshold
 class DisconnectedGraphError(ValueError):
     """Raised by kruskal when the edge list does not span all points."""
 
-    def __init__(self, n, components, forest_u, forest_v, forest_w):
+    def __init__(self, n, components):
         self.n = n
         self.components = components
-        self.forest_u = forest_u
-        self.forest_v = forest_v
-        self.forest_w = forest_w
         sizes = sorted((len(c) for c in components), reverse=True)
         preview = "; ".join(
             "{" + ",".join(map(str, sorted(c)[:8])) + (",..." if len(c) > 8 else "") + "}"
@@ -75,9 +72,15 @@ def _as_edge_arrays(n: int, edges):
 
 def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:
     """Kruskal scan of canonically sorted edges into the forest (tu, tv, tw),
-    which holds cnt edges; returns the new edge count."""
+    which holds cnt edges; returns the new edge count.
+
+    The per-edge loop reads and writes a list copy of parent (a list read
+    returns the list's own int, where an array read makes a new one) and
+    notes a bool per live edge.  After each chunk the entries it rewrote
+    go back to parent for the next chunk's snapshot, and the chunk's new
+    tree edges are gathered at once."""
     n = len(parent)
-    p = parent.data  # memoryview: scalar access without numpy scalars
+    p = parent.tolist()
     chunk = 1024
     for s in range(0, len(u), chunk):
         cu = u[s : s + chunk]
@@ -92,22 +95,33 @@ def _scan(parent, u, v, w, tu, tv, tw, cnt) -> int:
                 break
             ru, rv = pu, pv
         live = np.flatnonzero(ru != rv)
-        for i, a0, b0 in zip((live + s).tolist(), cu[live].tolist(), cv[live].tolist()):
+        joins = []  # per live edge: does it join two trees
+        moved = []  # entries of p rewritten
+        for a0, b0 in zip(cu[live].tolist(), cv[live].tolist()):
             a = a0
             while p[a] != a:
                 p[a] = p[p[a]]
+                moved.append(a)
                 a = p[a]
             b = b0
             while p[b] != b:
                 p[b] = p[p[b]]
+                moved.append(b)
                 b = p[b]
             if a == b:
+                joins.append(False)
                 continue
             p[b] = a
-            tu[cnt] = a0
-            tv[cnt] = b0
-            tw[cnt] = w[i]
-            cnt += 1
+            moved.append(b)
+            joins.append(True)
+        if moved:
+            parent[moved] = [p[x] for x in moved]
+        new = live[np.array(joins, dtype=bool)] + s
+        k = len(new)
+        tu[cnt : cnt + k] = u[new]
+        tv[cnt : cnt + k] = v[new]
+        tw[cnt : cnt + k] = w[new]
+        cnt += k
         if cnt == n - 1:
             break
     return cnt
@@ -147,14 +161,25 @@ def kruskal(n: int, edges) -> SpanningTree:
     Edges are a (u, v, w) triple of equal-length arrays, endpoints in [0, n).
     Ties resolve by the canonical (weight, min index, max index) order.
     Raises DisconnectedGraphError naming the components when the edges do
-    not span all n points.
+    not span all n points.  The tree is minimum_forest's.
+    """
+    return SpanningTree(n, *minimum_forest(n, edges, spanning=True))
+
+
+def minimum_forest(n: int, edges, spanning: bool = False):
+    """Minimum spanning forest of the given weighted graph, as (u, v, w)
+    arrays in canonical (weight, min index, max index) order, u < v: the
+    forest that one Kruskal scan over all the edges in that order keeps.
+    With spanning set, a forest of fewer than n - 1 edges raises
+    DisconnectedGraphError, whose components are listed in ascending
+    order of their union-find roots, members ascending.
 
     Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009): each batch
     holds the live edges at or below a threshold that about
     _FILTER_EDGES_PER_POINT * n of them meet, sorted and scanned; before
     the next batch, edges whose endpoints are already joined are dropped.
     Every batch is a prefix of the canonical order of what remains, so the
-    tree equals that of one scan over all sorted edges, wherever the
+    forest equals that of one scan over all sorted edges, wherever the
     thresholds fall.  The first batch is read from the weights in chunks;
     after its scan, the live edges are an index array over what that scan
     left, filtered in chunks.  Only a batch's edges are gathered, and
@@ -190,15 +215,14 @@ def kruskal(n: int, edges) -> SpanningTree:
             live = _first_pass(len(w), lambda s, e: roots.take(u[s:e]) != roots.take(v[s:e]))
         else:
             live = compact(live, unjoined)
-    if cnt < n - 1:
+    if spanning and cnt < n - 1:
         # components in ascending root order, members ascending: one stable sort
         roots = _roots(parent)
         members = np.argsort(roots, kind="stable")
         cuts = np.flatnonzero(np.diff(roots[members])) + 1
-        comps = [c.tolist() for c in np.split(members, cuts)]
-        raise DisconnectedGraphError(n, comps, tu[:cnt], tv[:cnt], tw[:cnt])
-    # batches ascend in the canonical order, so the tree edges already do
-    return SpanningTree(n=n, u=tu, v=tv, w=tw)
+        raise DisconnectedGraphError(n, [c.tolist() for c in np.split(members, cuts)])
+    # batches ascend in the canonical order, so the forest's edges already do
+    return tu[:cnt], tv[:cnt], tw[:cnt]
 
 
 def connect_components(points: PointSet, forest) -> SpanningTree:

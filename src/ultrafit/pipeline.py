@@ -23,12 +23,16 @@ from .core import PointSet, cross_distances
 from .cutweight import approximate_cut_weights, exact_cut_weights
 from .dendro import Dendrogram, build_dendrogram, from_merge_rows
 from .linkage import METHODS, agglomerate, single_linkage
-from .mst import DisconnectedGraphError, SpanningTree, connect_components, exact_mst, kruskal
-from .spanner import SpannerConfig, SpannerGraph, build_spanner
+from .mst import SpanningTree, connect_components, exact_mst, kruskal
+from .spanner import SpannerConfig, build_spanner, spanner_forests
 
 ALGORITHMS = ("approx", "acc", "exact") + METHODS
 
 _ORACLE_LIMIT = 7
+
+# ufbench/tracer.py wraps these names at this module, so they stay
+# importable here, though no fit calls them any more
+_TRACED = (build_spanner, connect_components)
 
 
 @dataclass
@@ -78,20 +82,17 @@ def _fit(algorithm: str, points: PointSet, grow_tree, cut_weights, **meta) -> Fi
     )
 
 
-def _spanner_tree(points: PointSet, graph: SpannerGraph) -> SpanningTree:
-    try:
-        return kruskal(points.n, (graph.u, graph.v, graph.w))
-    except DisconnectedGraphError as exc:  # the coarsest-scale star precludes this
-        return connect_components(points, (exc.forest_u, exc.forest_v, exc.forest_w))
-
-
 def approx_ult(points: PointSet, config: SpannerConfig | None = None) -> FitResult:
-    """Spanner -> Kruskal -> 5-estimated cut weights -> cartesian tree."""
+    """Spanner -> Kruskal -> 5-estimated cut weights -> cartesian tree.
+
+    The spanner stage hands Kruskal the coarsest-scale star and one
+    minimum spanning forest per scale process (spanner_forests), whose
+    tree is kruskal(build_spanner(points, config)) edge for edge."""
     config = config or SpannerConfig()
 
     def grow_tree(stage):
-        graph = stage("spanner", build_spanner, points, config)
-        return stage("mst", _spanner_tree, points, graph)
+        edges = stage("spanner", spanner_forests, points, config)
+        return stage("mst", kruskal, points.n, edges)
 
     return _fit("approx", points, grow_tree, approximate_cut_weights, gamma=config.gamma, seed=config.seed)
 

@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .core import PointSet, chunks, compact, edge_distances, fork_map, index_dtype, paired_distances, worker_limit
+from .mst import minimum_forest
 
 _REP_CAP = 48  # repetition budget cap, keeps build near-linear at large n
 _MAX_SCALES = 32  # length of the radius ladder (estimate_scales)
@@ -127,6 +128,7 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
     index = np.arange(n, dtype=np.uint64)
     bound = np.ones(n, dtype=bool)  # bound[0] stays set
     cells = np.empty((k, n))
+    extent = np.abs(X).max(axis=0)  # |x @ p| <= extent @ |p| for every point x
     nontrivial = 0
     pieces = []
     for t in range(reps):
@@ -140,6 +142,8 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
         cells /= width
         cells += offset[:, None]
         np.floor(cells, out=cells)
+        if (extent @ np.abs(proj)).max() / width >= 2.0**62:  # some cell may not fit int64
+            _wrap_int64(cells)
         # unsigned, so the hash wraps modulo 2**64 by definition
         terms = cells.astype(np.int64).view(np.uint64)
         terms *= mixer.view(np.uint64)[:, None]
@@ -183,6 +187,17 @@ def _scale_pairs(X: np.ndarray, config: SpannerConfig, scales: list[float], si: 
     return nontrivial, (_sorted_unique(np.concatenate(pieces)) if pieces else None)
 
 
+def _wrap_int64(cells: np.ndarray) -> None:
+    """Integral float cells, in place and exactly, modulo 2**64 into
+    [-2**63, 2**63): their int64 casts are then their residues, all that
+    the hash (a sum of products modulo 2**64) reads.  Far from the origin
+    at fine scales cells pass 2**63, where a bare cast warns and gives
+    INT64_MIN."""
+    np.fmod(cells, 2.0**64, out=cells)
+    cells[cells >= 2.0**63] -= 2.0**64
+    cells[cells < -(2.0**63)] += 2.0**64
+
+
 def _worker_count(n: int) -> int:
     """Processes to run the scales of n points in: one (serial) below the
     crossover, else as many as core.worker_limit allows."""
@@ -223,6 +238,51 @@ def build_spanner(points: PointSet, config: SpannerConfig) -> SpannerGraph:
     u, v = _unpack(union, index_dtype(n))
     del union
     return SpannerGraph(n=n, u=u, v=v, w=edge_distances(X, u, v))
+
+
+def spanner_forests(points: PointSet, config: SpannerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges whose minimum spanning tree is kruskal(build_spanner(points,
+    config))'s, edge for edge: the coarsest-scale star on point 0 and one
+    minimum spanning forest per scale process, at most 3(n - 1) edges.
+
+    The scales run as in build_spanner, but their pairs stay in the
+    process that computed them: core.fork_map's finish step folds that
+    process's scales up to the stop, weighs them and returns their
+    minimum_forest.  Under the strict (weight, min index, max index)
+    order, an edge a forest leaves out is the heaviest on a cycle of
+    spanner edges and in no minimum spanning tree of the spanner.  A pair
+    can repeat, always with the same weight (one cdist entry).
+    """
+    n = points.n
+    X = points.coords
+    scales = estimate_scales(points)
+    kept = {}  # scale id -> its sorted distinct pairs, in the process that computed it
+
+    def job(si):
+        nontrivial, pairs = _scale_pairs(X, config, scales, si)
+        if pairs is not None:
+            kept[si] = pairs
+        return nontrivial
+
+    def finish(last):
+        # scales computed past the stop are dropped; a stable sort merges
+        # the sorted runs of the others
+        runs = [kept.pop(si) for si in sorted(kept) if last is not None and si <= last]
+        union = _sorted_unique(np.concatenate([np.empty(0, dtype=np.uint64), *runs]), kind="stable")
+        del runs
+        u, v = _unpack(union, index_dtype(n))
+        del union
+        return minimum_forest(n, (u, v, edge_distances(X, u, v)))
+
+    with fork_map(job, range(1, len(scales)), _worker_count(n), label="scale", finish=finish) as results:
+        for nontrivial in results:
+            if nontrivial == 0:
+                break  # every bucket is a singleton: finer scales stay trivial
+        forests = results.finish()
+    star_u = np.zeros(n - 1, dtype=np.int64)
+    star_v = np.arange(1, n, dtype=np.int64)
+    parts = [(star_u, star_v, edge_distances(X, star_u, star_v))] + forests
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _sorted_unique(packed: np.ndarray, kind: str | None = None) -> np.ndarray:

@@ -310,6 +310,37 @@ def test_unwritable_out_exits_2_without_a_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # the output is checked before the input is read: neither the parse nor
+    # the fit runs, and no file is left behind
+    csv = write(tmp_path, "pts.csv", COLLINEAR_CSV)
+    merges = write(tmp_path, "d.txt", "")
+    missing = str(tmp_path / "no-such-dir" / "x")
+    a_dir = str(tmp_path / "a-dir")
+    os.mkdir(a_dir)
+    sidecar_blocked = str(tmp_path / "s.txt")
+    os.mkdir(sidecar_blocked + ".json")
+
+    def never(*args):
+        raise AssertionError("reached past the output check")
+
+    monkeypatch.setattr(cli_mod, "run_algorithm", never)
+    monkeypatch.setattr(cli_mod, "parse_points_csv", never)
+    before = sorted(os.listdir(tmp_path))
+    for argv, path in (
+        (["fit", "--input", csv, "--out", missing], missing),
+        (["fit", "--input", csv, "--out", a_dir], a_dir),
+        (["fit", "--input", csv, "--out", sidecar_blocked], sidecar_blocked + ".json"),
+        (["compare", "--input", csv, "--algo", "exact", "--out", missing], missing),
+        (["compare", "--input", csv, "--algo", "exact", "--out", a_dir], a_dir),
+        (["eval", "--input", csv, "--dendrogram", merges, "--out", missing], missing),
+        (["eval", "--input", csv, "--dendrogram", merges, "--out", a_dir], a_dir),
+    ):
+        assert main(argv) == EXIT_BAD_INPUT, argv
+        assert f"cannot write {path}: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_compare_rows_of_the_mst_fitters_equal_separate_fits(tmp_path):
     # acc, exact and single share one exact MST in compare; each fit below
     # parses its own point set and computes its own

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -195,6 +196,25 @@ def test_fork_map_raises_a_worker_error():
 
 
 @needs_fork
+@pytest.mark.parametrize("finish", [None, lambda last: last], ids=["plain", "finish"])
+def test_fork_map_drops_the_errors_of_ids_computed_past_the_last_result(finish):
+    # while one worker holds id 0, the other computes ids 1, 2, 3, ... ahead;
+    # those from 2 on fail, but the caller stops after id 0
+    def job(i):
+        if i == 0:
+            time.sleep(0.2)
+        if i >= 2:
+            raise ValueError(f"unit {i} failed")
+        return i
+
+    with fork_map(job, range(8), 2, finish=finish) as results:
+        assert next(results) == 0
+        if finish:
+            assert results.finish() == [0, 0]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_fork_map_raises_when_a_worker_dies(run_bounded):
     # a worker that exits without a reply loses its id; the parent must name
     # it and stop the other worker instead of waiting for it
@@ -240,6 +260,87 @@ def test_fork_map_stops_workers_mid_send_without_hanging(run_bounded):
         "print('done')\n"
     )
     assert run_bounded(script, timeout=120).strip() == "done"
+
+
+def _finish_job():
+    """A job that keeps each id it computes in the process that computed
+    it, and a finish step that returns (pid, the kept ids up to last, how
+    often finish ran in that process)."""
+    kept = []
+    runs = []
+
+    def job(i):
+        kept.append(i)
+        return i * i
+
+    def finish(last):
+        runs.append(last)
+        return os.getpid(), sorted(i for i in kept if last is not None and i <= last), len(runs)
+
+    return job, finish
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stop", [None, 0, 5, 11])
+def test_fork_map_finish_runs_once_per_worker_on_the_last_id(workers, stop):
+    # stop: the id after whose result the caller stops (None: before the first)
+    job, finish = _finish_job()
+    with fork_map(job, range(12), workers, finish=finish) as results:
+        got = []
+        if stop is not None:
+            for value in results:
+                got.append(value)
+                if len(got) == stop + 1:
+                    break
+        done = results.finish()
+    assert got == [i * i for i in range(0 if stop is None else stop + 1)]
+    pids = [pid for pid, _, _ in done]
+    assert len(done) == workers and len(set(pids)) == workers
+    assert (os.getpid() in pids) == (workers == 1)
+    assert all(runs == 1 for _, _, runs in done)
+    # each id up to the last result was kept by exactly one process
+    kept = sorted(i for _, ids, _ in done for i in ids)
+    assert kept == list(range(0 if stop is None else stop + 1))
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fork_map_raises_a_finish_error(workers):
+    def finish(last):
+        raise ValueError(f"finish failed after {last}")
+
+    with pytest.raises(ValueError, match="finish failed after 3"):
+        with fork_map(lambda i: i, range(8), workers, finish=finish) as results:
+            for i in results:
+                if i == 3:
+                    break
+            results.finish()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_fork_map_raises_when_a_worker_dies_in_finish(run_bounded):
+    script = (
+        "import multiprocessing, os, sys, time\n"
+        "from ultrafit.core import fork_map\n"
+        "def finish(last):\n"
+        "    os._exit(1)\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        "    with fork_map(lambda i: i, range(20), 2, label='unit', finish=finish) as results:\n"
+        "        list(results)\n"
+        "        results.finish()\n"
+        "except RuntimeError as exc:\n"
+        "    print(time.perf_counter() - t0, exc)\n"
+        "else:\n"
+        "    sys.exit('fork_map returned')\n"
+        "assert multiprocessing.active_children() == []\n"
+    )
+    seconds, message = run_bounded(script, timeout=30).split(" ", 1)
+    assert "finishing its units" in message
+    assert float(seconds) < 5
 
 
 def test_triangle_inequality_sampled():

@@ -15,6 +15,7 @@ from ultrafit import (
     exact_mst,
     kruskal,
     kt_factor,
+    minimum_forest,
     verify_stretch,
 )
 from ultrafit import core as core_mod
@@ -370,12 +371,14 @@ def test_kruskal_disconnected_forest_matches_single_scan():
     keep = ((u < 110) & (v < 110)) | ((u >= 110) & (u < 130) & (v >= 110) & (v < 130))
     u, v, w = u[keep], v[keep], w[keep]
     forest, comps = _single_scan_kruskal(n, u, v, w)
+    fu, fv, fw = minimum_forest(n, (u, v, w))
+    assert list(zip(fu.tolist(), fv.tolist(), fw.tolist())) == forest
     with pytest.raises(DisconnectedGraphError) as err:
         kruskal(n, (u, v, w))
-    exc = err.value
-    got = list(zip(exc.forest_u.tolist(), exc.forest_v.tolist(), exc.forest_w.tolist()))
-    assert got == forest
-    assert exc.components == comps
+    assert err.value.components == comps
+    with pytest.raises(DisconnectedGraphError) as err:
+        minimum_forest(n, (u, v, w), spanning=True)
+    assert err.value.components == comps
     assert len(comps) >= 22  # the two groups and the 20 isolated points
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ultrafit import (
     approx_ult,
     brute_force_opt_alpha,
     build_dendrogram,
+    build_spanner,
     distortion,
     farach_exact,
     kruskal,
@@ -17,7 +20,7 @@ from ultrafit import (
     normalize,
     run_algorithm,
 )
-from ultrafit.core import cross_distances
+from ultrafit.core import cross_distances, worker_limit
 from ultrafit.cutweight import approximate_cut_weights
 from ultrafit.pipeline import _topologies
 
@@ -198,3 +201,30 @@ def test_fit_result_stage_names_match_algorithm():
     assert set(res.timings_ms) == {"spanner", "mst", "cutweight", "cartesian"}
     res2 = farach_exact(COLLINEAR)
     assert set(res2.timings_ms) == {"mst", "cutweight", "cartesian"}
+
+
+def test_approx_tree_is_kruskal_over_the_spanner():
+    # 1500 points pass the spanner's pool crossover, so the forests come
+    # from the worker processes where two CPUs are usable
+    p = PointSet(np.random.default_rng(21).random((1500, 8)))
+    cfg = SpannerConfig(gamma=2.5, seed=3)
+    g = build_spanner(p, cfg)
+    want = kruskal(p.n, (g.u, g.v, g.w))
+    tree = approx_ult(p, cfg).tree
+    for a, b in ((tree.u, want.u), (tree.v, want.v), (tree.w, want.w)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(worker_limit() < 2, reason="needs fork and two usable CPUs")
+def test_approx_parent_memory_is_linear_in_the_points():
+    # the spanner's edges (about 2.3M here) stay in its worker processes;
+    # the parent holds the star, two forests and the fit's O(n) state.
+    # Holding the edges, the spanner and tree alone peaked at 40 MiB here
+    p = PointSet(np.random.default_rng(606).random((20_000, 16)))
+    tracemalloc.start()
+    try:
+        approx_ult(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * p.n

@@ -2,16 +2,29 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ultrafit import PointSet, SpannerConfig, build_spanner, estimate_scales, verify_stretch
+from ultrafit import (
+    PointSet,
+    SpannerConfig,
+    build_spanner,
+    dedupe,
+    estimate_scales,
+    exact_mst,
+    kruskal,
+    spanner_forests,
+    verify_stretch,
+)
 from ultrafit import core as core_mod
 from ultrafit import spanner as spanner_mod
-from ultrafit.core import paired_distances
-from ultrafit.spanner import _index_bits, _scale_pairs, _stream, _worker_count
+from ultrafit.core import paired_distances, worker_limit
+from ultrafit.spanner import _index_bits, _scale_pairs, _stream, _worker_count, _wrap_int64
 
 
 def test_scales_halve_from_bbox_diameter(monkeypatch):
@@ -222,17 +235,18 @@ def _grid(side, d):
     return np.column_stack([a.ravel() for a in axes])
 
 
-@pytest.mark.parametrize(
-    "coords, gamma",
-    [
-        (np.random.default_rng(1).random((300, 4)), 2.0),
-        (np.random.default_rng(2).random((200, 16)) * 1e3 + 5e6, 2.5),  # large offset
-        (_grid(14, 2), 1.5),  # lattice: exact ties between bucket members and means
-        (_grid(6, 3), 2.0),
-        (np.repeat(np.eye(5) * 4.0, 30, axis=0) + np.random.default_rng(3).random((150, 5)), 2.5),
-    ],
-    ids=["uniform", "offset", "grid2d", "grid3d", "blobs"],
-)
+# the spanner fixtures: (coords, gamma), and their ids
+FIXTURES = [
+    (np.random.default_rng(1).random((300, 4)), 2.0),
+    (np.random.default_rng(2).random((200, 16)) * 1e3 + 5e6, 2.5),  # large offset
+    (_grid(14, 2), 1.5),  # lattice: exact ties between bucket members and means
+    (_grid(6, 3), 2.0),
+    (np.repeat(np.eye(5) * 4.0, 30, axis=0) + np.random.default_rng(3).random((150, 5)), 2.5),
+]
+FIXTURE_IDS = ["uniform", "offset", "grid2d", "grid3d", "blobs"]
+
+
+@pytest.mark.parametrize("coords, gamma", FIXTURES, ids=FIXTURE_IDS)
 def test_build_spanner_matches_reference_loop(coords, gamma):
     p = PointSet(coords)
     for seed in range(3):
@@ -343,6 +357,104 @@ def test_pooled_spanner_matches_serial_and_reference(coords, gamma, pooled, monk
         assert a.dtype == b.dtype and (a == b).all()
     ru, rv = _reference_spanner_pairs(p, cfg)
     assert (g.u == ru).all() and (g.v == rv).all()
+
+
+def _assert_forests_give_the_spanner_tree(p, cfg, pooled):
+    """kruskal over spanner_forests equals kruskal over build_spanner's
+    edges, edge for edge, with the scales run in 2 worker processes or in
+    this one, from at most 3(n - 1) edges."""
+    g = build_spanner(p, cfg)
+    want = kruskal(p.n, (g.u, g.v, g.w))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spanner_mod, "_POOL_MIN_ROWS", 0 if pooled else float("inf"))
+        edges = spanner_forests(p, cfg)
+    assert len(edges[0]) <= 3 * (p.n - 1)
+    got = kruskal(p.n, edges)
+    for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _pool_modes():
+    return [False, True] if worker_limit() >= 2 else [False]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("coords, gamma", FIXTURES, ids=FIXTURE_IDS)
+def test_spanner_forests_give_the_spanner_tree(coords, gamma, pooled):
+    if pooled and worker_limit() < 2:
+        pytest.skip("needs fork and two usable CPUs")
+    p = PointSet(coords)
+    for seed in range(3):
+        _assert_forests_give_the_spanner_tree(p, SpannerConfig(gamma=gamma, seed=seed), pooled)
+
+
+def test_spanner_forests_drop_the_scales_computed_past_the_stop(pooled, monkeypatch):
+    # while one worker holds the first trivial scale, the other computes
+    # the scales past it, each made to return every pair: kept, they would
+    # turn the tree into the exact MST
+    p = PointSet(np.random.default_rng(1).random((300, 8)))
+    cfg = SpannerConfig(gamma=4.0, seed=1)
+    scales = estimate_scales(p)
+    first = next(si for si in range(1, len(scales)) if _scale_pairs(p.coords, cfg, scales, si)[0] == 0)
+    assert first < len(scales) - 2
+    iu, iv = np.triu_indices(p.n, 1)
+    every_pair = (iu.astype(np.uint64) << np.uint64(32)) | iv.astype(np.uint64)
+
+    def late(X, config, scales, si):
+        if si == first:
+            time.sleep(0.2)
+        return (1, every_pair) if si > first else _scale_pairs(X, config, scales, si)
+
+    monkeypatch.setattr(spanner_mod, "_scale_pairs", late)
+    g = build_spanner(p, cfg)
+    want = kruskal(p.n, (g.u, g.v, g.w))
+    assert want.w.tobytes() != exact_mst(p).w.tobytes()
+    got = kruskal(p.n, spanner_forests(p, cfg))
+    for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_wrap_int64_casts_are_the_residues_modulo_two_to_the_64():
+    cells = np.array([0.0, -3.0, 2.0**53, 2.0**63 - 1024, 2.0**63, -(2.0**63), -(2.0**63) - 2048, 2.0**64 + 2**12,
+                      1e19, -1e19, 3e30, -7e300])
+    want = [((int(c) + 2**63) % 2**64) - 2**63 for c in cells.tolist()]
+    _wrap_int64(cells)
+    assert cells.astype(np.int64).tolist() == want
+
+
+def test_spanner_far_from_the_origin_hashes_fine_scales_without_a_cast_warning():
+    # 1-d points 1e12 from the origin, some a rounding step apart, keep
+    # sharing buckets down to scales whose cells pass 2**63; the cast of
+    # such a cell warned (an error under this suite's warning filter) and
+    # put it in the INT64_MIN cell
+    x = 1e12 + np.random.default_rng(0).random((90, 1))
+    p = dedupe(PointSet(x))[0]
+    cfg = SpannerConfig(gamma=4.0, seed=0)
+    assert _scale_pairs(p.coords, cfg, estimate_scales(p), 30)[0] > 0
+    g = build_spanner(p, cfg)
+    assert (g.w == paired_distances(p.coords[g.u], p.coords[g.v])).all()
+    _assert_forests_give_the_spanner_tree(p, cfg, pooled=False)
+
+
+@st.composite
+def _point_sets(draw):
+    """n 2-300 points in 1-8 dimensions: uniform reals, or a small integer
+    grid whose distances tie (duplicates deduped), optionally 1e12 away
+    from the origin."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, draw(st.integers(2, 6)), (n, d)).astype(float) if draw(st.booleans()) else rng.random((n, d))
+    if draw(st.booleans()):
+        x += 1e12
+    return dedupe(PointSet(x))[0]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(p=_point_sets(), gamma=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 3))
+def test_spanner_forests_give_the_spanner_tree_on_generated_inputs(p, gamma, seed):
+    for pooled in _pool_modes():
+        _assert_forests_give_the_spanner_tree(p, SpannerConfig(gamma=gamma, seed=seed), pooled)
 
 
 def test_pooled_spanner_raises_a_worker_error_and_stops_its_workers(pooled, monkeypatch):
